@@ -10,7 +10,6 @@ for double-checking the fast one.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import random
@@ -26,18 +25,12 @@ from .coloring import (
 )
 from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ValidationError
-from .model import Block, block_to_text
+from .model import Block, block_to_text, stable_seed
 from .schedule import GraphSchedule, latency, level_schedule
 from .workload import block_from_graph
 
 ORACLE_CAP = 10
 FULL_DAG_ORACLE_CAP = 8
-
-
-def stable_seed(*parts) -> int:
-    """Platform-independent 64-bit seed derived from the given parts."""
-    digest = hashlib.sha256(":".join(repr(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .model import (
     write_block_file,
     write_stream_file,
 )
-from .replication import BatchPlan, make_runner, run_main_loop
+from .replication import BUILTIN_RUNNERS, BatchPlan, make_runner, run_main_loop
 from .schedule import dump_levels, dump_schedule, latency, latency_stats, batch_to_graph
 
 EXIT_OK = 0
@@ -46,7 +46,7 @@ def _load_state(path: str | None) -> GlobalState:
 def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--runner",
-        choices=["order", "greedy", "min-coloring", "weighted-coloring", "batch"],
+        choices=list(BUILTIN_RUNNERS),
         default="min-coloring",
         help="schedule synthesis strategy",
     )

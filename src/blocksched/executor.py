@@ -1,14 +1,23 @@
 """Executors: concurrent graph-schedule execution, batch execution, a
 sequential reference, and a discrete-event simulation.
 
-The concurrent engine spawns one worker per transaction. Every schedule edge
-becomes a single-shot signal created locked; a worker blocks on all incoming
-signals, reads the latest committed value of each read-set key, runs its
-program, commits its writes, emits its result, and releases its outgoing
-signals. Validity of the schedule (every conflicting pair path-ordered) is
-checked before launch and is the sole safety premise: it guarantees that no
-two conflicting transactions ever overlap, so the store needs nothing beyond
-atomic per-key publication.
+The concurrent engine is a bounded ready queue. Every vertex of the schedule
+counts its unfinished predecessors, and a fixed set of at most
+``MAX_WORKERS`` threads, never one per transaction, pops the smallest ready
+id from one heap. A worker reads the latest committed value of each read-set
+key, runs the program, then under the engine's lock commits its writes,
+emits its result and decrements its successors' counts, queueing each that
+reaches zero. Batch execution is the same engine without edges and with one
+barrier: the next batch opens when the current one has no unfinished
+transaction. Validity of the schedule (every conflicting pair path-ordered)
+is checked once, before a handle is built, and is the sole safety premise:
+no two conflicting transactions ever overlap, so writes go to one overlay
+dict over the input state and need nothing beyond atomic per-key
+publication.
+
+The run fails fast: the first exception raised by a transaction body stops
+it, wakes every waiter, and makes ``outcome()`` raise ``InvariantError``
+chained to that exception. A partial outcome is never returned.
 
 Emission order of non-conflicting transactions is NOT part of the
 deterministic contract; equivalence compares the unordered result set and
@@ -17,7 +26,6 @@ the final state changes.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 import threading
@@ -27,8 +35,17 @@ from typing import Callable, Sequence
 
 from .conflict import build_conflict_graph
 from .errors import InvariantError, ValidationError
-from .model import Block, GlobalState, Transaction, TxResult, run_program
-from .schedule import BatchSchedule, GraphSchedule, is_valid_schedule, latency
+from .model import Block, GlobalState, Transaction, TxResult, run_program, stable_seed
+from .schedule import (
+    BatchSchedule,
+    GraphSchedule,
+    is_valid_batch_schedule,
+    is_valid_schedule,
+    latency,
+)
+
+# Worker threads of one execution unless the caller asks for fewer or more.
+MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -47,15 +64,10 @@ class ExecutionOutcome:
         return {r.tx_id: r for r in self.results}
 
 
-def _stable_seed(*parts) -> int:
-    digest = hashlib.sha256(":".join(repr(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def _jitter_rng(seed: int | None, tx_id: int) -> random.Random | None:
     if seed is None:
         return None
-    return random.Random(_stable_seed(seed, tx_id))
+    return random.Random(stable_seed(seed, tx_id))
 
 
 def _sleep_jitter(rng: random.Random | None, max_jitter_us: int) -> None:
@@ -89,14 +101,19 @@ def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -
     )
 
 
-class GraphExecutionHandle:
-    """A prepared concurrent execution of one graph schedule.
+def _check_graph_schedule(block: Block, schedule: GraphSchedule) -> None:
+    if not is_valid_schedule(schedule, build_conflict_graph(block)):
+        raise ValidationError("invalid schedule: some conflicting pair has no dependency path")
 
-    Call :meth:`start` to release the source transactions, poll
-    :meth:`running` / :meth:`drain_results` while it runs, then collect the
-    final :meth:`outcome`. ``max_workers`` switches to a bounded ready-queue
-    pool used for stress testing; it preserves semantics but makes no latency
-    claims.
+
+class GraphExecutionHandle:
+    """A prepared concurrent execution of one valid graph schedule.
+
+    Call :meth:`start` to launch the workers, call :meth:`drain_results`
+    while :meth:`running` holds to receive results as they commit, then
+    collect the final :meth:`outcome`. The handle does not validate the
+    schedule: :func:`execute_graph_schedule` and the replication runners
+    check it before building one.
     """
 
     def __init__(
@@ -109,176 +126,162 @@ class GraphExecutionHandle:
         max_jitter_us: int = 0,
         early_release_bug: bool = False,
         trace: bool = False,
-        max_workers: int | None = None,
-        validate: bool = True,
+        max_workers: int = MAX_WORKERS,
     ) -> None:
-        if validate:
-            g = build_conflict_graph(block)
-            if schedule.n != g.n:
-                raise ValidationError(
-                    f"schedule has {schedule.n} vertices, block has {g.n} transactions"
-                )
-            if not is_valid_schedule(schedule, g):
-                raise ValidationError(
-                    "invalid schedule: some conflicting pair has no dependency path"
-                )
-        self._block = block
-        self._schedule = schedule
-        self._store: dict[str, int] = {k: v for k, v in state.items()}
-        self._written_keys: set[str] = set()
+        if max_workers < 1:
+            raise ValidationError("max_workers must be >= 1")
+        self._txs = {tx.id: tx for tx in block.txs}
+        self._state = state
+        self._succs = schedule.succs
+        self._unmet = [len(preds) for preds in schedule.preds]
+        # batches run strictly one after another; a graph schedule is one batch
+        self._batches: Sequence[Sequence[int]] = (tuple(range(schedule.n)),)
+        self._batch = -1
+        self._open = 0  # unfinished transactions of the current batch
+        self._pending = len(block.txs)
+        self._ready: list[int] = []
+        self._overlay: dict[str, int] = {}
         self._results: list[TxResult] = []
         self._cursor = 0
+        self._failure: tuple[int, Exception] | None = None
+        self._started = False
         self._lock = threading.Lock()
-        self._start_event = threading.Event()
-        self._done = threading.Event()
-        self._pending = len(block.txs)
+        self._work_cv = threading.Condition(self._lock)
+        self._results_cv = threading.Condition(self._lock)
+        self._workers = [
+            threading.Thread(target=self._work, daemon=True)
+            for _ in range(min(max_workers, self._pending))
+        ]
         self._jitter_seed = jitter_seed
         self._max_jitter_us = max_jitter_us
         self._early_release_bug = early_release_bug
         self.trace: list[tuple[int, int, int]] | None = [] if trace else None
-        self._threads: list[threading.Thread] = []
-        if self._pending == 0:
-            self._done.set()
-        elif max_workers is None:
-            self._spawn_signal_workers()
-        else:
-            self._spawn_pool_workers(max_workers)
 
-    # -- signal mode: one worker per transaction, one locked signal per edge --
+    # -- workers --
 
-    def _spawn_signal_workers(self) -> None:
-        by_id = {tx.id: tx for tx in self._block.txs}
-        signals = {edge: threading.Event() for edge in self._schedule.edges}
-        for tx_id in range(self._schedule.n):
-            tx = by_id[tx_id]
-            in_signals = [signals[(u, tx_id)] for u in self._schedule.preds[tx_id]]
-            out_signals = [signals[(tx_id, v)] for v in self._schedule.succs[tx_id]]
-            thread = threading.Thread(
-                target=self._signal_worker, args=(tx, in_signals, out_signals), daemon=True
-            )
-            self._threads.append(thread)
-            thread.start()
+    def _live(self) -> bool:
+        return self._failure is None and self._pending > 0
 
-    def _signal_worker(
-        self,
-        tx: Transaction,
-        in_signals: list[threading.Event],
-        out_signals: list[threading.Event],
-    ) -> None:
-        self._start_event.wait()
-        for signal in in_signals:
-            signal.wait()
-        self._run_one(tx, release=lambda: [s.set() for s in out_signals])
-
-    # -- pool mode: bounded workers pulling from a ready queue --
-
-    def _spawn_pool_workers(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ValidationError("max_workers must be >= 1")
-        self._indeg = {v: len(self._schedule.preds[v]) for v in range(self._schedule.n)}
-        self._ready: list[int] = [v for v, d in self._indeg.items() if d == 0]
-        heapq.heapify(self._ready)
-        self._queue_cv = threading.Condition()
-        for _ in range(min(max_workers, self._pending)):
-            thread = threading.Thread(target=self._pool_worker, daemon=True)
-            self._threads.append(thread)
-            thread.start()
-
-    def _pool_worker(self) -> None:
-        self._start_event.wait()
-        by_id = {tx.id: tx for tx in self._block.txs}
+    def _work(self) -> None:
         while True:
-            with self._queue_cv:
-                while not self._ready and not self._done.is_set():
-                    self._queue_cv.wait(timeout=0.05)
-                if self._done.is_set() and not self._ready:
+            with self._lock:
+                while not self._ready and self._live():
+                    self._work_cv.wait()
+                if not self._live():
                     return
-                tx_id = heapq.heappop(self._ready)
-            tx = by_id[tx_id]
-
-            def release() -> None:
-                with self._queue_cv:
-                    for succ in self._schedule.succs[tx_id]:
-                        self._indeg[succ] -= 1
-                        if self._indeg[succ] == 0:
-                            heapq.heappush(self._ready, succ)
-                    self._queue_cv.notify_all()
-
-            self._run_one(tx, release=release)
-            if self._done.is_set():
-                with self._queue_cv:
-                    self._queue_cv.notify_all()
+                tx = self._txs[heapq.heappop(self._ready)]
+            try:
+                self._run_one(tx)
+            except Exception as exc:  # the worker boundary: recorded, re-raised by outcome()
+                with self._lock:
+                    if self._failure is None:
+                        self._failure = (tx.id, exc)
+                    self._wake_all()
                 return
 
-    # -- shared per-transaction body --
-
-    def _run_one(self, tx: Transaction, release: Callable[[], None]) -> None:
+    def _run_one(self, tx: Transaction) -> None:
         rng = _jitter_rng(self._jitter_seed, tx.id)
         _sleep_jitter(rng, self._max_jitter_us)
         t0 = time.perf_counter_ns()
-        reads = {k: self._store.get(k, 0) for k in sorted(tx.read_set)}
+        overlay, state = self._overlay, self._state
+        reads = {k: overlay[k] if k in overlay else state.get(k) for k in sorted(tx.read_set)}
         written = run_program(tx, reads)
         _sleep_jitter(rng, self._max_jitter_us)
         if self._early_release_bug:
             # fault injection for negative tests: successors are released
             # before the writes are committed, so they can observe stale state
-            self._emit(tx.id, reads, written)
-            release()
+            with self._lock:
+                self._emit(tx.id, reads, written)
+                self._release(tx.id)
             time.sleep(0.0001)
             _sleep_jitter(rng, self._max_jitter_us)
-            self._commit(written)
-            self._finish_one()
+            with self._lock:
+                overlay.update(written)
+                self._retire()
             return
-        self._commit(written)
-        t1 = time.perf_counter_ns()
-        if self.trace is not None:
-            with self._lock:
-                self.trace.append((tx.id, t0, t1))
-        self._emit(tx.id, reads, written)
-        release()
-        self._finish_one()
+        with self._lock:
+            overlay.update(written)
+            if self.trace is not None:
+                self.trace.append((tx.id, t0, time.perf_counter_ns()))
+            self._emit(tx.id, reads, written)
+            self._release(tx.id)
+            self._retire()
 
-    def _commit(self, written: dict[str, int]) -> None:
-        for key in sorted(written):
-            self._store[key] = written[key]
-        if written:
-            with self._lock:
-                self._written_keys.update(written)
+    # -- bookkeeping, always under the lock --
 
     def _emit(self, tx_id: int, reads: dict[str, int], written: dict[str, int]) -> None:
-        with self._lock:
-            self._results.append(TxResult(tx_id=tx_id, read_values=reads, written_values=written))
+        self._results.append(TxResult(tx_id=tx_id, read_values=reads, written_values=written))
+        self._results_cv.notify_all()
 
-    def _finish_one(self) -> None:
-        with self._lock:
-            self._pending -= 1
-            if self._pending == 0:
-                self._done.set()
+    def _release(self, tx_id: int) -> None:
+        readied = 0
+        for succ in self._succs[tx_id]:
+            self._unmet[succ] -= 1
+            if self._unmet[succ] == 0:
+                heapq.heappush(self._ready, succ)
+                readied += 1
+        self._open -= 1
+        if self._open == 0:
+            readied += self._open_next_batch()
+        self._work_cv.notify(readied)
+
+    def _open_next_batch(self) -> int:
+        """Queue the ready transactions of the next batch; returns their number."""
+        if self._batch + 1 == len(self._batches):
+            return 0
+        self._batch += 1
+        batch = self._batches[self._batch]
+        self._open = len(batch)
+        readied = 0
+        for v in batch:
+            if self._unmet[v] == 0:
+                heapq.heappush(self._ready, v)
+                readied += 1
+        return readied
+
+    def _retire(self) -> None:
+        self._pending -= 1
+        if self._pending == 0:
+            self._wake_all()
+
+    def _wake_all(self) -> None:
+        self._work_cv.notify_all()
+        self._results_cv.notify_all()
 
     # -- public surface --
 
     def start(self) -> None:
-        self._start_event.set()
+        with self._lock:
+            self._started = True
+            if self._pending:
+                self._open_next_batch()
+        for worker in self._workers:
+            worker.start()
 
     def running(self) -> bool:
-        return not self._done.is_set()
+        with self._lock:
+            return self._live()
 
     def drain_results(self) -> list[TxResult]:
+        """Results emitted since the last call; blocks until there is one or the run ends."""
         with self._lock:
+            if not self._started:
+                raise ValidationError("execution was never started")
+            while self._cursor == len(self._results) and self._live():
+                self._results_cv.wait()
             new = self._results[self._cursor :]
             self._cursor = len(self._results)
-        return list(new)
-
-    def wait(self) -> None:
-        if not self._start_event.is_set():
-            raise ValidationError("execution was never started")
-        self._done.wait()
-        for thread in self._threads:
-            thread.join()
+        return new
 
     def outcome(self) -> ExecutionOutcome:
-        self.wait()
-        changes = {k: self._store[k] for k in sorted(self._written_keys)}
+        if not self._started:
+            raise ValidationError("execution was never started")
+        for worker in self._workers:
+            worker.join()
+        if self._failure is not None:
+            tx_id, exc = self._failure
+            raise InvariantError(f"tx {tx_id} raised {exc!r}; execution stopped") from exc
+        changes = {k: self._overlay[k] for k in sorted(self._overlay)}
         return ExecutionOutcome(
             results=tuple(self._results),
             state_changes=changes,
@@ -294,9 +297,10 @@ def execute_graph_schedule(
     jitter_seed: int | None = None,
     max_jitter_us: int = 0,
     trace: bool = False,
-    max_workers: int | None = None,
+    max_workers: int = MAX_WORKERS,
 ) -> ExecutionOutcome:
     """Run the block concurrently under a valid graph schedule (blocking)."""
+    _check_graph_schedule(block, schedule)
     handle = GraphExecutionHandle(
         block,
         schedule,
@@ -317,10 +321,12 @@ def execute_graph_schedule_broken(
     *,
     jitter_seed: int | None = None,
     max_jitter_us: int = 0,
-    max_workers: int | None = None,
+    max_workers: int = MAX_WORKERS,
 ) -> ExecutionOutcome:
-    """Deliberately defective executor that releases signals before committing
-    writes. Exists only as the negative control for determinism tests."""
+    """Deliberately defective executor that releases successors before
+    committing writes. Exists only as the negative control for determinism
+    tests."""
+    _check_graph_schedule(block, schedule)
     handle = GraphExecutionHandle(
         block,
         schedule,
@@ -334,9 +340,10 @@ def execute_graph_schedule_broken(
     return handle.outcome()
 
 
-class BatchExecutionHandle:
-    """Strictly sequential batches; within a batch every transaction runs
-    concurrently against the snapshot committed by the prior batches."""
+class BatchExecutionHandle(GraphExecutionHandle):
+    """Strictly sequential batches on the graph engine: no edges, and a
+    barrier that opens a batch only once the previous one has finished, so
+    every transaction reads the state committed by the prior batches."""
 
     def __init__(
         self,
@@ -346,81 +353,15 @@ class BatchExecutionHandle:
         *,
         jitter_seed: int | None = None,
         max_jitter_us: int = 0,
-        validate: bool = True,
     ) -> None:
-        if validate:
-            g = build_conflict_graph(block)
-            if batches.ids != frozenset(range(g.n)):
-                raise ValidationError("batches must partition the block's transaction ids")
-            for i, batch in enumerate(batches.batches):
-                for a_idx, u in enumerate(batch):
-                    for v in batch[a_idx + 1 :]:
-                        if g.are_adjacent(u, v):
-                            raise ValidationError(
-                                f"batch {i} is not conflict-free: pair ({u}, {v}) conflicts"
-                            )
-        self._block = block
-        self._batches = batches
-        self._store: dict[str, int] = {k: v for k, v in state.items()}
-        self._written_keys: set[str] = set()
-        self._results: list[TxResult] = []
-        self._cursor = 0
-        self._lock = threading.Lock()
-        self._done = threading.Event()
-        self._jitter_seed = jitter_seed
-        self._max_jitter_us = max_jitter_us
-        self._driver = threading.Thread(target=self._run_batches, daemon=True)
-
-    def _run_batches(self) -> None:
-        by_id = {tx.id: tx for tx in self._block.txs}
-        for batch in self._batches.batches:
-            snapshot = dict(self._store)
-            collected: dict[int, dict[str, int]] = {}
-
-            def worker(tx: Transaction) -> None:
-                rng = _jitter_rng(self._jitter_seed, tx.id)
-                _sleep_jitter(rng, self._max_jitter_us)
-                reads = {k: snapshot.get(k, 0) for k in sorted(tx.read_set)}
-                written = run_program(tx, reads)
-                _sleep_jitter(rng, self._max_jitter_us)
-                with self._lock:
-                    collected[tx.id] = written
-                    self._results.append(
-                        TxResult(tx_id=tx.id, read_values=reads, written_values=written)
-                    )
-
-            threads = [threading.Thread(target=worker, args=(by_id[v],), daemon=True) for v in batch]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            # conflict-freedom makes write keys disjoint within the batch
-            for tx_id in sorted(collected):
-                for key in sorted(collected[tx_id]):
-                    self._store[key] = collected[tx_id][key]
-                self._written_keys.update(collected[tx_id])
-        self._done.set()
-
-    def start(self) -> None:
-        self._driver.start()
-
-    def running(self) -> bool:
-        return not self._done.is_set()
-
-    def drain_results(self) -> list[TxResult]:
-        with self._lock:
-            new = self._results[self._cursor :]
-            self._cursor = len(self._results)
-        return list(new)
-
-    def outcome(self) -> ExecutionOutcome:
-        self._driver.join()
-        changes = {k: self._store[k] for k in sorted(self._written_keys)}
-        return ExecutionOutcome(
-            results=tuple(self._results),
-            state_changes=changes,
-            emission_order=tuple(r.tx_id for r in self._results),
+        super().__init__(
+            block,
+            GraphSchedule(n=len(block.txs), edges=frozenset()),
+            state,
+            jitter_seed=jitter_seed,
+            max_jitter_us=max_jitter_us,
         )
+        self._batches = batches.batches
 
 
 def execute_batch_schedule(
@@ -432,6 +373,10 @@ def execute_batch_schedule(
     max_jitter_us: int = 0,
 ) -> ExecutionOutcome:
     """Run the block batch by batch (blocking)."""
+    if not is_valid_batch_schedule(batches, build_conflict_graph(block)):
+        raise ValidationError(
+            "batches must partition the block's transaction ids into conflict-free batches"
+        )
     handle = BatchExecutionHandle(
         block, batches, state, jitter_seed=jitter_seed, max_jitter_us=max_jitter_us
     )
@@ -447,9 +392,7 @@ def simulate_execution(
     A transaction starts when its last predecessor finishes and runs for
     exactly its length; the returned makespan equals the schedule's latency.
     """
-    g = build_conflict_graph(block)
-    if not is_valid_schedule(schedule, g):
-        raise ValidationError("invalid schedule: some conflicting pair has no dependency path")
+    _check_graph_schedule(block, schedule)
     by_id = {tx.id: tx for tx in block.txs}
     lengths = {tx.id: tx.length for tx in block.txs}
     n = schedule.n
@@ -542,7 +485,7 @@ def stress_determinism(
             block,
             schedule,
             state,
-            jitter_seed=_stable_seed(seed, trial),
+            jitter_seed=stable_seed(seed, trial),
             max_jitter_us=max_jitter_us,
         )
         diff = _outcome_diff(f"trial {trial}", out, baseline)

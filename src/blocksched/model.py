@@ -23,6 +23,12 @@ _I64_SPAN = 1 << 64
 _I64_HALF = 1 << 63
 
 
+def stable_seed(*parts) -> int:
+    """Platform-independent 64-bit seed derived from the given parts."""
+    digest = hashlib.sha256(":".join(repr(p) for p in parts).encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def wrap_int64(value: int) -> int:
     """Reduce an integer into signed 64-bit range with wrap-around."""
     return (value + _I64_HALF) % _I64_SPAN - _I64_HALF

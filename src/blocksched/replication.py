@@ -14,11 +14,10 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Sequence, Union
 
 from .coloring import (
     Coloring,
@@ -35,13 +34,12 @@ from .model import Block, GlobalState, Transaction, TxResult, block_hash, valida
 from .schedule import (
     BatchSchedule,
     GraphSchedule,
+    is_valid_batch_schedule,
     is_valid_schedule,
     level_schedule,
     size_descending_color_order,
     total_order_schedule,
 )
-
-_POLL_SLEEP_S = 0.0002
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,8 @@ class BlockRunner(ABC):
     """Schedule synthesis plus execution engine behind one swappable interface.
 
     ``make_schedule`` must be a pure deterministic function of the
-    transactions and the conflict constraints.
+    transactions and the conflict constraints. Validation and execution
+    default to a :class:`GraphPlan` on the graph engine.
     """
 
     name: str = "runner"
@@ -85,13 +84,13 @@ class BlockRunner(ABC):
     @abstractmethod
     def make_schedule(self, txs: Sequence[Transaction], constraints: ConflictGraph) -> Any: ...
 
-    @abstractmethod
     def validate_schedule(
         self, txs: Sequence[Transaction], constraints: ConflictGraph, plan: Any
-    ) -> bool: ...
+    ) -> bool:
+        return isinstance(plan, GraphPlan) and is_valid_schedule(plan.schedule, constraints)
 
-    @abstractmethod
-    def init_execution(self, block: Block, plan: Any, state: GlobalState) -> Any: ...
+    def init_execution(self, block: Block, plan: Any, state: GlobalState) -> Any:
+        return GraphExecutionHandle(block, plan.schedule, state)
 
     def start_execution(self, execution: Any) -> None:
         execution.start()
@@ -122,12 +121,6 @@ class OrderFollowingRunner(BlockRunner):
     def make_schedule(self, txs, constraints):
         return GraphPlan(schedule=total_order_schedule(txs, constraints))
 
-    def validate_schedule(self, txs, constraints, plan):
-        return isinstance(plan, GraphPlan) and is_valid_schedule(plan.schedule, constraints)
-
-    def init_execution(self, block, plan, state):
-        return GraphExecutionHandle(block, plan.schedule, state, validate=False)
-
 
 class _ColoringRunnerBase(BlockRunner):
     def __init__(self, color_order: str = "size-desc") -> None:
@@ -144,12 +137,6 @@ class _ColoringRunnerBase(BlockRunner):
             coloring_mode=mode,
             exact=exact,
         )
-
-    def validate_schedule(self, txs, constraints, plan):
-        return isinstance(plan, GraphPlan) and is_valid_schedule(plan.schedule, constraints)
-
-    def init_execution(self, block, plan, state):
-        return GraphExecutionHandle(block, plan.schedule, state, validate=False)
 
 
 class GreedyColoringRunner(_ColoringRunnerBase):
@@ -225,12 +212,6 @@ class WeightedColoringRunner(BlockRunner):
             exact=exact,
         )
 
-    def validate_schedule(self, txs, constraints, plan):
-        return isinstance(plan, GraphPlan) and is_valid_schedule(plan.schedule, constraints)
-
-    def init_execution(self, block, plan, state):
-        return GraphExecutionHandle(block, plan.schedule, state, validate=False)
-
 
 class BatchRunner(BlockRunner):
     """Batch execution over the greedy-coloring partition."""
@@ -248,27 +229,22 @@ class BatchRunner(BlockRunner):
         )
 
     def validate_schedule(self, txs, constraints, plan):
-        if not isinstance(plan, BatchPlan):
-            return False
-        if plan.batches.ids != frozenset(range(constraints.n)):
-            return False
-        for batch in plan.batches.batches:
-            for i, u in enumerate(batch):
-                for v in batch[i + 1 :]:
-                    if constraints.are_adjacent(u, v):
-                        return False
-        return True
+        return isinstance(plan, BatchPlan) and is_valid_batch_schedule(plan.batches, constraints)
 
     def init_execution(self, block, plan, state):
-        return BatchExecutionHandle(block, plan.batches, state, validate=False)
+        return BatchExecutionHandle(block, plan.batches, state)
 
 
-BUILTIN_RUNNERS = {
-    "order": OrderFollowingRunner,
-    "greedy": GreedyColoringRunner,
-    "min-coloring": MinColoringRunner,
-    "weighted-coloring": WeightedColoringRunner,
-    "batch": BatchRunner,
+# Runner name -> constructor over make_runner's keyword options; the CLI's
+# --runner choices come from these keys.
+BUILTIN_RUNNERS: dict[str, Callable[..., BlockRunner]] = {
+    "order": lambda **_: OrderFollowingRunner(),
+    "greedy": lambda color_order, **_: GreedyColoringRunner(color_order),
+    "min-coloring": lambda color_order, exact_cap, **_: MinColoringRunner(color_order, exact_cap),
+    "weighted-coloring": lambda color_order, weighted_cap, epsilon_cutoff, **_: (
+        WeightedColoringRunner(color_order, weighted_cap, epsilon_cutoff)
+    ),
+    "batch": lambda color_order, **_: BatchRunner(color_order),
 }
 
 
@@ -280,17 +256,14 @@ def make_runner(
     weighted_cap: int = 20,
     epsilon_cutoff: int | None = None,
 ) -> BlockRunner:
-    if name == "order":
-        return OrderFollowingRunner()
-    if name == "greedy":
-        return GreedyColoringRunner(color_order)
-    if name == "min-coloring":
-        return MinColoringRunner(color_order, exact_cap)
-    if name == "weighted-coloring":
-        return WeightedColoringRunner(color_order, weighted_cap, epsilon_cutoff)
-    if name == "batch":
-        return BatchRunner(color_order)
-    raise ValidationError(f"unknown runner {name!r}; choose from {sorted(BUILTIN_RUNNERS)}")
+    if name not in BUILTIN_RUNNERS:
+        raise ValidationError(f"unknown runner {name!r}; choose from {sorted(BUILTIN_RUNNERS)}")
+    return BUILTIN_RUNNERS[name](
+        color_order=color_order,
+        exact_cap=exact_cap,
+        weighted_cap=weighted_cap,
+        epsilon_cutoff=epsilon_cutoff,
+    )
 
 
 def process_block(
@@ -315,7 +288,6 @@ def process_block(
     results: BlockResults = []
     while runner.is_execution_running(execution):
         results.extend(runner.next_execution_results(execution))
-        time.sleep(_POLL_SLEEP_S)
     results.extend(runner.next_execution_results(execution))
     return runner.state_changes(execution), results
 

@@ -132,6 +132,17 @@ def is_valid_schedule(s: GraphSchedule, g: ConflictGraph) -> bool:
     return all((anc[v] >> u) & 1 or (anc[u] >> v) & 1 for u, v in g.edges)
 
 
+def is_valid_batch_schedule(b: BatchSchedule, g: ConflictGraph) -> bool:
+    """True iff the batches partition g's vertices and no batch holds a conflicting pair."""
+    if b.ids != frozenset(range(g.n)):
+        return False
+    for batch in b.batches:
+        members = sum(1 << v for v in batch)
+        if any(g.adj_bits[v] & members for v in batch):
+            return False
+    return True
+
+
 def finish_times(s: GraphSchedule, lengths: Mapping[int, int]) -> list[int]:
     """Per vertex, the maximum weighted path length ending at it (inclusive)."""
     _check_lengths(lengths, s.n)

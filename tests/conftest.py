@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
 
+from blocksched import executor
 from blocksched.conflict import ConflictGraph
 from blocksched.model import Block, ProgramKind, Transaction, TxProgram
 from blocksched.schedule import GraphSchedule
@@ -138,3 +140,37 @@ def make_tx(
 
 def make_block(txs, seq: int = 0, prev_hash: bytes = b"") -> Block:
     return Block(seq=seq, prev_hash=prev_hash, txs=tuple(txs))
+
+
+def run_bounded(fn, timeout: float = 30.0):
+    """Call fn on a helper thread and return its value; fail the test if it
+    has not returned within ``timeout`` seconds, so a hang cannot stall the
+    suite."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed back to the test thread below
+            box["error"] = exc
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"still running after {timeout}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def inject_tx_failure(monkeypatch, bad_id: int, armed=lambda: True) -> None:
+    """Make the executors' transaction bodies raise for tx ``bad_id`` while
+    ``armed()`` holds."""
+    real = executor.run_program
+
+    def run_program(tx, reads):
+        if tx.id == bad_id and armed():
+            raise RuntimeError(f"injected failure in tx {tx.id}")
+        return real(tx, reads)
+
+    monkeypatch.setattr(executor, "run_program", run_program)

@@ -6,7 +6,7 @@ from blocksched.cli import main
 from blocksched.model import write_block_file, write_stream_file
 from blocksched.workload import WorkloadSpec, chain_block, gen_commutative_stream, gen_stream
 
-from conftest import make_block, make_tx
+from conftest import make_block, make_tx, inject_tx_failure, run_bounded
 
 
 @pytest.fixture()
@@ -80,6 +80,15 @@ def test_execute_trace_lists_all_transactions(chain_file, capsys):
     assert code == 0
     trace_lines = [l for l in out.splitlines() if l and l[0].isdigit()]
     assert len(trace_lines) >= 6
+
+
+@pytest.mark.parametrize("runner", ["min-coloring", "batch"])
+def test_execute_raising_transaction_exits_4(chain_file, capsys, monkeypatch, runner):
+    inject_tx_failure(monkeypatch, bad_id=2)
+    code, out, err = run_bounded(lambda: run_cli(capsys, "execute", chain_file, "--runner", runner))
+    assert code == 4
+    assert "tx 2" in err
+    assert "results:" not in out
 
 
 def test_execute_empty_block(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import os
 import random
+import sys
 
 import pytest
 
 from blocksched.conflict import build_conflict_graph
 from blocksched.coloring import descending_degree_order, greedy_coloring, partition_from_coloring
-from blocksched.errors import ValidationError
+from blocksched.errors import InvariantError, ValidationError
 from blocksched.executor import (
+    MAX_WORKERS,
     GraphExecutionHandle,
     execute_batch_schedule,
     execute_graph_schedule,
@@ -24,7 +27,7 @@ from blocksched.schedule import (
 )
 from blocksched.workload import WorkloadSpec, chain_block, gen_block
 
-from conftest import make_block, make_tx, random_valid_schedule
+from conftest import make_block, make_tx, inject_tx_failure, random_valid_schedule, run_bounded
 
 EMPTY = GlobalState()
 
@@ -229,3 +232,47 @@ def test_trace_intervals_disjoint_for_conflicts():
             su, eu = intervals[u]
             sv, ev = intervals[v]
             assert eu <= sv or ev <= su, f"conflicting {u},{v} overlapped"
+
+
+def greedy_level_schedule(block):
+    g = build_conflict_graph(block)
+    return level_schedule(partition_from_coloring(greedy_coloring(g, descending_degree_order(g))), g)
+
+
+@pytest.mark.parametrize("max_workers", [MAX_WORKERS, 1])
+def test_raising_transaction_fails_graph_execution(monkeypatch, max_workers):
+    block = gen_block(WorkloadSpec(n_txs=24, key_universe=6, seed=8))
+    s = greedy_level_schedule(block)
+    inject_tx_failure(monkeypatch, bad_id=5)
+    with pytest.raises(InvariantError, match="tx 5") as info:
+        run_bounded(lambda: execute_graph_schedule(block, s, EMPTY, max_workers=max_workers))
+    assert isinstance(info.value.__cause__, RuntimeError)
+
+
+def test_raising_transaction_fails_batch_execution(monkeypatch):
+    block = gen_block(WorkloadSpec(n_txs=24, key_universe=6, seed=8))
+    g = build_conflict_graph(block)
+    b = BatchSchedule(partition_from_coloring(greedy_coloring(g, descending_degree_order(g))))
+    inject_tx_failure(monkeypatch, bad_id=5)
+    with pytest.raises(InvariantError, match="tx 5"):
+        run_bounded(lambda: execute_batch_schedule(block, b, EMPTY))
+
+
+def test_stress_more_workers_than_cores():
+    workers = (os.cpu_count() or 1) + 4
+    block = gen_block(WorkloadSpec(n_txs=max(96, 4 * workers), key_universe=12, seed=31))
+    s = greedy_level_schedule(block)
+    ref = execute_sequential(block, s.topo_order(), EMPTY)
+    want = {i: (r.read_values, r.written_values) for i, r in ref.results_by_id().items()}
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            out = run_bounded(
+                lambda: execute_graph_schedule(block, s, EMPTY, max_workers=workers), timeout=60
+            )
+            assert out.state_changes == ref.state_changes, f"trial {trial}"
+            got = {i: (r.read_values, r.written_values) for i, r in out.results_by_id().items()}
+            assert got == want, f"trial {trial}"
+    finally:
+        sys.setswitchinterval(old_interval)

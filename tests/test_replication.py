@@ -1,10 +1,13 @@
+import threading
+
 import pytest
 
 from blocksched.conflict import build_conflict_graph
 from blocksched.errors import InvariantError, ParseError, ValidationError
-from blocksched.executor import execute_sequential, simulate_execution
+from blocksched.executor import MAX_WORKERS, execute_sequential, simulate_execution
 from blocksched.model import Block, GlobalState, block_hash
 from blocksched.replication import (
+    BUILTIN_RUNNERS,
     BatchPlan,
     GraphPlan,
     Ledger,
@@ -24,7 +27,7 @@ from blocksched.workload import (
     gen_stream,
 )
 
-from conftest import make_block, make_tx
+from conftest import make_block, make_tx, inject_tx_failure, run_bounded
 
 EMPTY = GlobalState()
 RUNNER_NAMES = ["order", "greedy", "min-coloring", "weighted-coloring", "batch"]
@@ -211,6 +214,43 @@ def test_main_loop_invalid_block_leaves_state_untouched(tmp_path):
     records = Ledger(tmp_path / "ledger").load()
     assert len(records) == 2
     assert records[0].state_digest == records[1].state_digest
+
+
+@pytest.mark.parametrize("name", ["min-coloring", "batch"])
+def test_main_loop_records_nothing_for_a_failing_block(tmp_path, monkeypatch, name):
+    blocks = gen_stream(stream_specs(3))
+    armed = False
+
+    def stream():
+        nonlocal armed
+        yield blocks[0]
+        armed = True  # block 0 is processed and recorded by now
+        yield from blocks[1:]
+
+    inject_tx_failure(monkeypatch, bad_id=2, armed=lambda: armed)
+    ledger = tmp_path / "ledger"
+    with pytest.raises(InvariantError):
+        run_bounded(lambda: run_main_loop(make_runner(name), stream(), EMPTY, ledger))
+    assert [r.seq for r in Ledger(ledger).load()] == [0]
+
+
+def test_block_size_does_not_set_thread_count():
+    block = gen_block(WorkloadSpec(n_txs=200, key_universe=200, seed=5))
+    real_start = threading.Thread.start
+    for name in BUILTIN_RUNNERS:
+        started = []
+
+        def counting_start(thread):
+            started.append(thread)
+            return real_start(thread)
+
+        threading.Thread.start = counting_start
+        try:
+            _, results = process_block(make_runner(name), block, EMPTY)
+        finally:
+            threading.Thread.start = real_start
+        assert len(results) == 200
+        assert len(started) <= MAX_WORKERS, f"{name} started {len(started)} threads"
 
 
 def test_kill_and_resume_matches_uninterrupted(tmp_path):
