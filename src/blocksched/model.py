@@ -138,7 +138,7 @@ class GlobalState:
 
     def __init__(self, entries: Mapping[ObjectKey, int] | None = None) -> None:
         self._entries: dict[ObjectKey, int] = {
-            k: wrap_int64(v) for k, v in (entries or {}).items() if wrap_int64(v) != 0
+            k: w for k, v in (entries or {}).items() if (w := wrap_int64(v)) != 0
         }
 
     def get(self, key: ObjectKey) -> int:
@@ -148,9 +148,16 @@ class GlobalState:
         return sorted(self._entries.items())
 
     def with_changes(self, changes: Mapping[ObjectKey, int]) -> "GlobalState":
+        # copy the already-normalized entries; only the changed keys need wrapping
         merged = dict(self._entries)
-        merged.update(changes)
-        return GlobalState(merged)
+        for k, v in changes.items():
+            if w := wrap_int64(v):
+                merged[k] = w
+            else:
+                merged.pop(k, None)
+        out = GlobalState.__new__(GlobalState)
+        out._entries = merged
+        return out
 
     def digest(self) -> str:
         payload = json.dumps(self.items(), separators=(",", ":"))

@@ -424,7 +424,8 @@ def run_main_loop(
     With ``resume`` the existing ledger chain is verified first; already
     recorded blocks are re-executed deterministically and checked against
     their records instead of being appended again, so a run killed between
-    blocks finishes with the exact ledger of an uninterrupted run.
+    blocks finishes with the exact ledger of an uninterrupted run; a stream
+    that ends before every recorded block is replayed raises ValidationError.
     ``max_blocks`` stops after that many blocks (used to simulate a crash).
     """
     ledger = Ledger(ledger_path)
@@ -448,11 +449,11 @@ def run_main_loop(
             raise ValidationError(f"block {block.seq}: prev_hash does not match previous block")
         changes, results = process_block(runner, block, state)
         state = state.with_changes(changes)
-        bhash = block_hash(block).hex()
+        bhash = block_hash(block)
         record = make_record(
             prev_record_digest,
             block.seq,
-            bhash,
+            bhash.hex(),
             results_digest(results),
             state.digest(),
         )
@@ -464,7 +465,12 @@ def run_main_loop(
         else:
             ledger.append(record)
         prev_record_digest = record.record_digest
-        prev_hash = block_hash(block)
+        prev_hash = bhash
         expected_seq = block.seq + 1
         processed += 1
+    stopped_early = max_blocks is not None and processed >= max_blocks
+    if processed < len(existing) and not stopped_early:
+        raise ValidationError(
+            f"resume: stream ended after {processed} blocks, ledger has {len(existing)} records"
+        )
     return state

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .coloring import Coloring
 from .conflict import ConflictGraph
@@ -34,7 +34,7 @@ class GraphSchedule:
             if u == v:
                 raise ValidationError(f"self-loop on vertex {u}")
         # acyclicity is part of the type: reject cyclic edge sets on construction
-        if len(self.topo_order()) != self.n:
+        if len(self._topo) != self.n:
             raise ValidationError("schedule edges contain a cycle")
 
     @cached_property
@@ -51,8 +51,9 @@ class GraphSchedule:
             inc[v].append(u)
         return tuple(tuple(sorted(us)) for us in inc)
 
-    def topo_order(self) -> list[int]:
-        """Canonical topological order: smallest ready id first."""
+    @cached_property
+    def _topo(self) -> tuple[int, ...]:
+        """Canonical topological order: smallest ready id first (shorter on a cycle)."""
         indeg = [0] * self.n
         succs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -68,13 +69,17 @@ class GraphSchedule:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     heapq.heappush(ready, w)
-        return order
+        return tuple(order)
+
+    def topo_order(self) -> list[int]:
+        """Canonical topological order: smallest ready id first; a fresh list per call."""
+        return list(self._topo)
 
     @cached_property
     def ancestor_bits(self) -> tuple[int, ...]:
         """Per vertex, the bitset of vertices with a directed path into it."""
         anc = [0] * self.n
-        for v in self.topo_order():
+        for v in self._topo:
             acc = 0
             for u in self.preds[v]:
                 acc |= anc[u] | (1 << u)
@@ -147,7 +152,7 @@ def finish_times(s: GraphSchedule, lengths: Mapping[int, int]) -> list[int]:
     """Per vertex, the maximum weighted path length ending at it (inclusive)."""
     _check_lengths(lengths, s.n)
     finish = [0] * s.n
-    for v in s.topo_order():
+    for v in s._topo:
         best = 0
         for u in s.preds[v]:
             if finish[u] > best:
@@ -181,24 +186,40 @@ def latency_stats(s: GraphSchedule, lengths: Mapping[int, int]) -> LatencyReport
     )
 
 
-def _normalize_partition(partition: Sequence[Sequence[int]], g: ConflictGraph) -> tuple[tuple[int, ...], ...]:
+def _set_bits(bits: int) -> Iterator[int]:
+    """Yield the indices of the set bits of a non-negative int, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _normalize_partition(
+    partition: Sequence[Sequence[int]], g: ConflictGraph
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Sorted levels and their member bitsets; rejects overlaps, gaps and in-level conflicts."""
     levels = tuple(tuple(sorted(level)) for level in partition)
-    seen: set[int] = set()
+    masks: list[int] = []
+    seen = 0
     for i, level in enumerate(levels):
+        members = 0
         for v in level:
             if not 0 <= v < g.n:
                 raise ValidationError(f"level {i}: vertex {v} out of range")
-            if v in seen:
+            if ((seen | members) >> v) & 1:
                 raise ValidationError(f"vertex {v} appears in more than one level")
-            seen.add(v)
-        for a_idx, u in enumerate(level):
-            row = g.adj_bits[u]
-            for v in level[a_idx + 1 :]:
-                if (row >> v) & 1:
-                    raise ValidationError(f"level {i} is not conflict-free: pair ({u}, {v}) conflicts")
-    if len(seen) != g.n:
+            members |= 1 << v
+        for u in level:
+            # neighbours of u inside the level with an id above u
+            clash = g.adj_bits[u] & members & ~((2 << u) - 1)
+            if clash:
+                v = next(_set_bits(clash))
+                raise ValidationError(f"level {i} is not conflict-free: pair ({u}, {v}) conflicts")
+        masks.append(members)
+        seen |= members
+    if seen != (1 << g.n) - 1:
         raise ValidationError("partition does not cover all vertices")
-    return levels
+    return levels, masks
 
 
 def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> GraphSchedule:
@@ -209,18 +230,17 @@ def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> Grap
     pair, scanning prior levels from nearest to farthest; the result carries
     no redundant edges.
     """
-    levels = _normalize_partition(partition, g)
+    levels, masks = _normalize_partition(partition, g)
     edges: set[tuple[int, int]] = set()
     anc = [0] * g.n  # incremental ancestor bitsets of the schedule built so far
-    for i in range(len(levels)):
-        current = levels[i]
+    for i, current in enumerate(levels):
         for j in range(i - 1, -1, -1):
-            batch: list[tuple[int, int]] = []
-            for u in levels[j]:
-                row = g.adj_bits[u]
-                for v in current:
-                    if (row >> v) & 1 and not (anc[v] >> u) & 1:
-                        batch.append((u, v))
+            # collect the whole level's edges before applying any of them
+            batch = [
+                (u, v)
+                for v in current
+                for u in _set_bits(g.adj_bits[v] & masks[j] & ~anc[v])
+            ]
             for u, v in batch:
                 edges.add((u, v))
                 anc[v] |= anc[u] | (1 << u)

@@ -100,6 +100,29 @@ def test_global_state_normalizes_zeros():
     assert changed == GlobalState({"y": 2})
 
 
+def test_with_changes_drops_zeros_wraps_and_keeps_parent():
+    parent = GlobalState({"a": 1, "b": 2, "c": 3})
+    parent_digest = parent.digest()
+    child = parent.with_changes({"a": 0, "b": 2**63, "d": -(2**63) - 1, "e": 0, "f": 5})
+    assert child.items() == [("b", -(2**63)), ("c", 3), ("d", 2**63 - 1), ("f", 5)]
+    assert parent.items() == [("a", 1), ("b", 2), ("c", 3)]
+    assert parent.digest() == parent_digest
+    assert child == GlobalState({"b": 2**63, "c": 3, "d": -(2**63) - 1, "f": 5})
+
+
+@given(
+    st.dictionaries(st.sampled_from("abcdefgh"), st.integers(-(2**64), 2**64)),
+    st.dictionaries(st.sampled_from("abcdefghij"), st.integers(-(2**64), 2**64) | st.just(0)),
+)
+def test_with_changes_digest_equals_state_built_from_scratch(base, changes):
+    merged = dict(base)
+    merged.update(changes)
+    child = GlobalState(base).with_changes(changes)
+    assert child == GlobalState(merged)
+    assert child.digest() == GlobalState(merged).digest()
+    assert all(v != 0 and v == wrap_int64(v) for _, v in child.items())
+
+
 def test_block_round_trip_identity():
     block = gen_block(WorkloadSpec(n_txs=9, key_universe=6, length_mode="heterogeneous", seed=11))
     text = block_to_text(block)

@@ -274,6 +274,21 @@ def test_resume_detects_divergence(tmp_path):
         run_main_loop(make_runner("min-coloring"), other, EMPTY, tmp_path / "ledger", resume=True)
 
 
+def test_resume_rejects_stream_shorter_than_ledger(tmp_path):
+    blocks = gen_stream(stream_specs(5))
+    path = tmp_path / "ledger"
+    run_main_loop(make_runner("min-coloring"), blocks, EMPTY, path)
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match="ledger has 5 records"):
+        run_main_loop(make_runner("min-coloring"), blocks[:3], EMPTY, path, resume=True)
+    assert path.read_bytes() == before
+    # a replay cut short by max_blocks is a deliberate stop, not a short stream
+    partial = run_main_loop(
+        make_runner("min-coloring"), blocks, EMPTY, path, resume=True, max_blocks=2
+    )
+    assert partial == run_main_loop(make_runner("min-coloring"), blocks[:2], EMPTY, tmp_path / "two")
+
+
 def test_ledger_detects_corruption(tmp_path):
     blocks = gen_stream(stream_specs(2))
     path = tmp_path / "ledger"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from blocksched.schedule import (
     size_descending_color_order,
     total_order_schedule,
 )
-from blocksched.workload import chain_block
+from blocksched.workload import WorkloadSpec, chain_block, gen_block
 
 from conftest import brute_dag_latency, make_block, make_tx, random_graph, random_valid_schedule
 
@@ -121,6 +122,99 @@ def test_level_schedule_requires_full_cover():
     g = ConflictGraph(n=2, edges=frozenset())
     with pytest.raises(ValidationError):
         level_schedule([(0,)], g)
+
+
+def pair_scan_level_schedule(partition, g):
+    """Edge set of the O(n^2) pair-scan level schedule, kept as an oracle for the bitset one."""
+    levels = [tuple(sorted(level)) for level in partition]
+    edges = set()
+    anc = [0] * g.n
+    for i in range(len(levels)):
+        for j in range(i - 1, -1, -1):
+            batch = []
+            for u in levels[j]:
+                row = g.adj_bits[u]
+                for v in levels[i]:
+                    if (row >> v) & 1 and not (anc[v] >> u) & 1:
+                        batch.append((u, v))
+            for u, v in batch:
+                edges.add((u, v))
+                anc[v] |= anc[u] | (1 << u)
+    return frozenset(edges)
+
+
+def first_conflicting_pair(level, g):
+    """The (u, v) pair the pair-scan check reported: first u in id order, then its lowest v."""
+    level = sorted(level)
+    for a, u in enumerate(level):
+        for v in level[a + 1 :]:
+            if g.are_adjacent(u, v):
+                return u, v
+    return None
+
+
+def seeded_greedy_partitions(seed, n, density):
+    block = gen_block(WorkloadSpec(n_txs=n, key_universe=max(2, n // density), seed=seed))
+    g = build_conflict_graph(block)
+    coloring = greedy_coloring(g, descending_degree_order(g))
+    size_desc = size_descending_color_order(coloring)
+    perm = list(range(1, len(size_desc) + 1))
+    random.Random(seed).shuffle(perm)
+    return g, [partition_from_coloring(coloring), size_desc, reorder_partition(size_desc, perm)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(0, 150), density=st.sampled_from([1, 2, 4]))
+def test_level_schedule_matches_pair_scan(seed, n, density):
+    g, partitions = seeded_greedy_partitions(seed, n, density)
+    for part in partitions:
+        s = level_schedule(part, g)
+        assert s.edges == pair_scan_level_schedule(part, g)
+        assert is_valid_schedule(s, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(2, 60), density=st.sampled_from([1, 2, 4]))
+def test_conflicting_level_names_the_pair_scan_pair(seed, n, density):
+    g, (part, _, _) = seeded_greedy_partitions(seed, n, density)
+    rng = random.Random(seed)
+    if len(part) < 2:
+        return
+    a, b = rng.sample(range(len(part)), 2)
+    merged = part[a] + part[b]
+    rest = [level for i, level in enumerate(part) if i not in (a, b)]
+    bad = rest[: len(rest) // 2] + [merged] + rest[len(rest) // 2 :]
+    pair = first_conflicting_pair(merged, g)
+    if pair is None:
+        assert level_schedule(bad, g).edges == pair_scan_level_schedule(bad, g)
+        return
+    with pytest.raises(ValidationError, match=re.escape(f"pair {pair} conflicts")):
+        level_schedule(bad, g)
+
+
+def test_level_schedule_rejects_overlap_and_out_of_range():
+    g = ConflictGraph(n=3, edges=frozenset())
+    with pytest.raises(ValidationError, match="vertex 1 appears in more than one level"):
+        level_schedule([(0, 1), (1, 2)], g)
+    with pytest.raises(ValidationError, match="vertex 1 appears in more than one level"):
+        level_schedule([(1, 1), (0, 2)], g)
+    with pytest.raises(ValidationError, match="vertex 3 out of range"):
+        level_schedule([(0, 1, 2), (3,)], g)
+
+
+def test_topo_order_returns_a_fresh_list():
+    s = GraphSchedule(n=4, edges=frozenset({(2, 0), (0, 1)}))
+    order = s.topo_order()
+    assert order == [2, 0, 1, 3]
+    order.reverse()
+    order.append(99)
+    assert s.topo_order() == [2, 0, 1, 3]
+    assert s.topo_order() is not s.topo_order()
+
+
+def test_schedule_rejects_a_cycle_behind_an_acyclic_prefix():
+    with pytest.raises(ValidationError, match="cycle"):
+        GraphSchedule(n=5, edges=frozenset({(3, 0), (0, 1), (1, 2), (2, 0), (2, 4)}))
 
 
 def test_total_order_chain_is_fully_sequential():
