@@ -27,7 +27,7 @@ from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ValidationError
 from .model import Block, block_to_text, stable_seed
 from .schedule import GraphSchedule, latency, level_schedule
-from .workload import block_from_graph
+from .workload import block_from_graph, gnp_edges
 
 ORACLE_CAP = 10
 FULL_DAG_ORACLE_CAP = 8
@@ -79,6 +79,26 @@ def _component_optimum(
     lens = [lengths[vertices[i]] for i in range(m)]
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
+    def step(
+        mask: int, rd: dict[int, int], level_mask: int
+    ) -> tuple[int, int, tuple[int, ...]]:
+        """Run one level out of the ready times ``rd`` of ``mask``: the level's
+        largest finish, the vertices left, and their new ready times."""
+        finish = {v: rd[v] + lens[v] for v in _bits(level_mask)}
+        rest = mask & ~level_mask
+        new_ready = []
+        for w in _bits(rest):
+            r = rd[w]
+            row = adj[w] & level_mask
+            while row:
+                low = row & -row
+                f = finish[low.bit_length() - 1]
+                if f > r:
+                    r = f
+                row &= ~low
+            new_ready.append(r)
+        return max(finish.values()), rest, tuple(new_ready)
+
     def solve(mask: int, ready: tuple[int, ...]) -> int:
         if mask == 0:
             return 0
@@ -89,25 +109,11 @@ def _component_optimum(
         cached = memo.get(key)
         if cached is not None:
             return cached + shift
-        members = _bits(mask)
-        rd = dict(zip(members, ready))
+        rd = dict(zip(_bits(mask), ready))
         best: int | None = None
         for level_mask in _independent_subsets(mask, adj):
-            finish = {v: rd[v] + lens[v] for v in _bits(level_mask)}
-            level_max = max(finish.values())
-            rest = mask & ~level_mask
-            new_ready = []
-            for w in _bits(rest):
-                r = rd[w]
-                row = adj[w] & level_mask
-                while row:
-                    low = row & -row
-                    f = finish[low.bit_length() - 1]
-                    if f > r:
-                        r = f
-                    row &= ~low
-                new_ready.append(r)
-            val = max(level_max, solve(rest, tuple(new_ready)))
+            level_max, rest, new_ready = step(mask, rd, level_mask)
+            val = max(level_max, solve(rest, new_ready))
             if best is None or val < best:
                 best = val
         memo[key] = best
@@ -120,27 +126,13 @@ def _component_optimum(
     levels: list[tuple[int, ...]] = []
     mask, ready = full, (0,) * m
     while mask:
-        members = _bits(mask)
-        rd = dict(zip(members, ready))
+        rd = dict(zip(_bits(mask), ready))
         target = solve(mask, ready)
         for level_mask in _independent_subsets(mask, adj):
-            finish = {v: rd[v] + lens[v] for v in _bits(level_mask)}
-            level_max = max(finish.values())
-            rest = mask & ~level_mask
-            new_ready = []
-            for w in _bits(rest):
-                r = rd[w]
-                row = adj[w] & level_mask
-                while row:
-                    low = row & -row
-                    f = finish[low.bit_length() - 1]
-                    if f > r:
-                        r = f
-                    row &= ~low
-                new_ready.append(r)
-            if max(level_max, solve(rest, tuple(new_ready))) == target:
+            level_max, rest, new_ready = step(mask, rd, level_mask)
+            if max(level_max, solve(rest, new_ready)) == target:
                 levels.append(tuple(vertices[v] for v in _bits(level_mask)))
-                mask, ready = rest, tuple(new_ready)
+                mask, ready = rest, new_ready
                 break
         else:  # pragma: no cover - solve() guarantees some level matches
             raise AssertionError("no level reproduces the memoized optimum")
@@ -318,20 +310,25 @@ def est_longest_path(g: ConflictGraph, order: Sequence[int] | None = None) -> in
     """Heuristic lower bound on the longest simple path, in edges.
 
     Dynamic program over the edges that respect the given vertex order
-    (default ascending id, the uninformed block-creator framing).
+    (default ascending id, the uninformed block-creator framing). Each
+    position relaxes only its own later neighbors, so the work is O(n + m).
     """
+    n = g.n
     if order is None:
-        order = list(range(g.n))
-    elif sorted(order) != list(range(g.n)):
-        raise ValidationError(f"order must be a permutation of 0..{g.n - 1}")
-    lengths = [0] * g.n
-    adj = g.adj_bits
-    for i in range(g.n):
-        vi = order[i]
-        row = adj[vi]
+        order = pos = range(n)
+    elif sorted(order) != list(range(n)):
+        raise ValidationError(f"order must be a permutation of 0..{n - 1}")
+    else:
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+    lengths = [0] * n
+    neighbors = g.neighbors
+    for i in range(n):
         base = lengths[i] + 1
-        for j in range(i + 1, g.n):
-            if (row >> order[j]) & 1 and base > lengths[j]:
+        for w in neighbors[order[i]]:
+            j = pos[w]
+            if j > i and base > lengths[j]:
                 lengths[j] = base
     return max(lengths, default=0)
 
@@ -340,13 +337,7 @@ def gnp_graph(n: int, p: float, seed: int) -> ConflictGraph:
     """Seeded Erdos-Renyi style graph: each pair is an edge with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must be in [0, 1]")
-    rng = random.Random(seed)
-    edges = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.add((u, v))
-    return ConflictGraph(n=n, edges=frozenset(edges))
+    return ConflictGraph(n=n, edges=gnp_edges(random.Random(seed), n, p))
 
 
 @dataclass(frozen=True)
@@ -537,14 +528,10 @@ def hetero_counterexample_search(
         rng = random.Random(stable_seed(seed, trial))
         n = rng.randint(4, n_max)
         p = rng.uniform(0.25, 0.75)
-        edges = set()
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    edges.add((u, v))
+        edges = gnp_edges(rng, n, p)
         if not edges:
             continue
-        g = ConflictGraph(n=n, edges=frozenset(edges))
+        g = ConflictGraph(n=n, edges=edges)
         if homogeneous:
             lengths = [1] * n
         else:
@@ -632,14 +619,10 @@ def homogeneous_reorder_witness_search(
         rng = random.Random(stable_seed("reorder", seed, trial))
         n = rng.randint(4, n_max)
         p = rng.uniform(0.3, 0.7)
-        edges = set()
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    edges.add((u, v))
+        edges = gnp_edges(rng, n, p)
         if not edges:
             continue
-        g = ConflictGraph(n=n, edges=frozenset(edges))
+        g = ConflictGraph(n=n, edges=edges)
         chi = exact_min_coloring(g).k
         order = list(range(n))
         rng.shuffle(order)

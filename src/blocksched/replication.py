@@ -366,22 +366,49 @@ class Ledger:
 
     def load(self) -> list[LedgerRecord]:
         """Read and verify the whole chain; raises ParseError on corruption."""
+        records, tail = self._scan()
+        if tail is not None:
+            raise ParseError(tail[1])
+        return records
+
+    def recover(self) -> list[LedgerRecord]:
+        """``load``, after cutting off an incomplete final record: the short
+        length prefix or short payload a crash in the middle of ``append``
+        leaves at the end of the file. Any other fault raises ParseError and
+        leaves the file untouched."""
+        records, tail = self._scan()
+        if tail is not None:
+            with open(self.path, "r+b") as fh:
+                fh.truncate(tail[0])
+        return records
+
+    def _scan(self) -> tuple[list[LedgerRecord], tuple[int, str] | None]:
+        """Verified complete records, plus the offset and error of an
+        incomplete final record if the file ends inside one."""
         if not self.path.exists():
-            return []
+            return [], None
         records: list[LedgerRecord] = []
         prev = self.GENESIS_DIGEST
         with open(self.path, "rb") as fh:
             index = 0
             while True:
+                start = fh.tell()
                 header = fh.read(4)
                 if not header:
                     break
                 if len(header) < 4:
-                    raise ParseError(f"ledger record {index}: truncated length prefix")
+                    return records, (start, f"ledger record {index}: truncated length prefix")
                 (length,) = struct.unpack(">I", header)
                 payload = fh.read(length)
                 if len(payload) < length:
-                    raise ParseError(f"ledger record {index}: truncated payload")
+                    error = f"ledger record {index}: truncated payload"
+                    # payloads are printable ASCII, and records are far below
+                    # 16 MiB, so every length prefix starts with a zero byte;
+                    # a short payload holding any other byte has run past a
+                    # record boundary: its length is corrupt, not torn
+                    if all(0x20 <= b < 0x7F for b in payload):
+                        return records, (start, error)
+                    raise ParseError(error)
                 try:
                     obj = json.loads(payload)
                     record = LedgerRecord(
@@ -403,7 +430,7 @@ class Ledger:
                 records.append(record)
                 prev = record.record_digest
                 index += 1
-        return records
+        return records, None
 
     def truncate(self) -> None:
         with open(self.path, "wb"):
@@ -421,15 +448,16 @@ def run_main_loop(
 ) -> GlobalState:
     """Process an ordered block stream, appending one ledger record per block.
 
-    With ``resume`` the existing ledger chain is verified first; already
-    recorded blocks are re-executed deterministically and checked against
-    their records instead of being appended again, so a run killed between
-    blocks finishes with the exact ledger of an uninterrupted run; a stream
+    With ``resume`` the existing ledger chain is verified first, and an
+    incomplete final record left by a crash inside an append is cut off;
+    already recorded blocks are re-executed deterministically and checked
+    against their records instead of being appended again, so a killed run
+    finishes with the exact ledger of an uninterrupted run; a stream
     that ends before every recorded block is replayed raises ValidationError.
     ``max_blocks`` stops after that many blocks (used to simulate a crash).
     """
     ledger = Ledger(ledger_path)
-    existing = ledger.load() if resume else []
+    existing = ledger.recover() if resume else []
     if not resume:
         ledger.truncate()
     state = initial_state

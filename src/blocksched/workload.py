@@ -67,6 +67,20 @@ class WorkloadSpec:
             raise ValidationError("conflict_p must be in [0, 1]")
 
 
+def gnp_edges(rng: random.Random, n: int, p: float) -> frozenset[tuple[int, int]]:
+    """Edges of one G(n, p) draw: each pair (u, v) with u < v, in lexicographic
+    order, takes exactly one ``rng.random()`` and is an edge when it falls
+    below p. Every seeded graph drawer goes through this one loop, so the
+    random stream after the call is the same wherever it is used."""
+    draw = rng.random
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw() < p:
+                edges.append((u, v))
+    return frozenset(edges)
+
+
 def _draw_length(spec: WorkloadSpec, rng: random.Random) -> int:
     if spec.length_mode == "homogeneous":
         return spec.length_base
@@ -84,12 +98,7 @@ def gen_block(spec: WorkloadSpec, *, seq: int = 0, prev_hash: bytes = b"") -> Bl
     """Deterministic block for a spec; the same spec yields identical blocks."""
     rng = random.Random(spec.seed)
     if spec.conflict_p is not None:
-        edges = set()
-        for u in range(spec.n_txs):
-            for v in range(u + 1, spec.n_txs):
-                if rng.random() < spec.conflict_p:
-                    edges.add((u, v))
-        g = ConflictGraph(n=spec.n_txs, edges=frozenset(edges))
+        g = ConflictGraph(n=spec.n_txs, edges=gnp_edges(rng, spec.n_txs, spec.conflict_p))
         lengths = [_draw_length(spec, rng) for _ in range(spec.n_txs)]
         return block_from_graph(
             g,

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blocksched.analysis import (
     CounterexampleReport,
@@ -119,6 +120,31 @@ def test_est_longest_path_edgeless_and_clique():
     assert est_longest_path(k4) == 3
 
 
+def bitscan_est_longest_path(g, order=None):
+    """The O(n^2) estimator that tests every later position of the order,
+    kept as an oracle for the neighbor-list one."""
+    if order is None:
+        order = list(range(g.n))
+    lengths = [0] * g.n
+    for i in range(g.n):
+        row = g.adj_bits[order[i]]
+        base = lengths[i] + 1
+        for j in range(i + 1, g.n):
+            if (row >> order[j]) & 1 and base > lengths[j]:
+                lengths[j] = base
+    return max(lengths, default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(0, 80), p=st.floats(0.0, 1.0))
+def test_est_longest_path_matches_bitscan(seed, n, p):
+    g = gnp_graph(n, p, seed)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    assert est_longest_path(g) == bitscan_est_longest_path(g)
+    assert est_longest_path(g, order) == bitscan_est_longest_path(g, order)
+
+
 def test_est_longest_path_validates_order():
     g = ConflictGraph(n=3, edges=frozenset())
     with pytest.raises(ValidationError):
@@ -184,6 +210,30 @@ def test_vulnerability_study_shapes_and_determinism():
     assert cells[0].mean_ratio == 1.0
     again = vulnerability_study([10, 20], [0.0, 0.2], samples=5, seed=3)
     assert study_to_csv(cells) == study_to_csv(again)
+
+
+STUDY_GOLDEN = {
+    "id": (
+        "n,p,samples,mean_ratio,min_ratio,max_ratio,seed\n"
+        "20,0.05,3,1.3333333333333333,1.0,1.6666666666666667,11\n"
+        "20,0.3,3,1.6166666666666665,1.5,1.75,11\n"
+        "60,0.05,3,2.25,1.75,2.5,11\n"
+        "60,0.3,3,2.4037037037037035,2.1,2.5555555555555554,11\n"
+    ),
+    "random": (
+        "n,p,samples,mean_ratio,min_ratio,max_ratio,seed\n"
+        "20,0.05,3,1.111111111111111,1.0,1.3333333333333333,11\n"
+        "20,0.3,3,2.1666666666666665,2.0,2.25,11\n"
+        "60,0.05,3,1.9166666666666667,1.5,2.5,11\n"
+        "60,0.3,3,2.8666666666666667,2.6,3.2222222222222223,11\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("order_mode", ["id", "random"])
+def test_vulnerability_study_golden_output(order_mode):
+    cells = vulnerability_study([20, 60], [0.05, 0.3], 3, 11, order_mode=order_mode)
+    assert study_to_csv(cells) == STUDY_GOLDEN[order_mode]
 
 
 def test_ratio_grows_with_density_at_fixed_n():

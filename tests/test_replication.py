@@ -300,6 +300,55 @@ def test_ledger_detects_corruption(tmp_path):
         Ledger(path).load()
 
 
+def record_offsets(raw):
+    """Start offset of every record in a ledger file."""
+    offsets, pos = [], 0
+    while pos < len(raw):
+        offsets.append(pos)
+        pos += 4 + int.from_bytes(raw[pos : pos + 4], "big")
+    return offsets
+
+
+def test_resume_cuts_a_torn_final_record(tmp_path):
+    blocks = gen_stream(stream_specs(3, n=4))
+    full_path = tmp_path / "full"
+    run_main_loop(make_runner("min-coloring"), blocks, EMPTY, full_path)
+    full = full_path.read_bytes()
+    last = record_offsets(full)[-1]
+    path = tmp_path / "torn"
+    for cut in range(last + 1, len(full)):
+        path.write_bytes(full[:cut])
+        with pytest.raises(ParseError, match="truncated"):
+            Ledger(path).load()
+        run_main_loop(make_runner("min-coloring"), blocks, EMPTY, path, resume=True)
+        assert path.read_bytes() == full, f"cut at byte {cut}"
+
+
+def test_resume_still_rejects_a_corrupt_middle_record(tmp_path):
+    blocks = gen_stream(stream_specs(3, n=4))
+    path = tmp_path / "ledger"
+    run_main_loop(make_runner("min-coloring"), blocks, EMPTY, path)
+    full = path.read_bytes()
+    start, end = record_offsets(full)[1:3]
+    for at in range(start, end):
+        raw = bytearray(full)
+        raw[at] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError):
+            run_main_loop(make_runner("min-coloring"), blocks, EMPTY, path, resume=True)
+        assert path.read_bytes() == bytes(raw), f"byte {at} flipped"
+
+
+def test_fresh_run_over_a_torn_ledger_is_unaffected(tmp_path):
+    blocks = gen_stream(stream_specs(3, n=4))
+    path = tmp_path / "ledger"
+    run_main_loop(make_runner("min-coloring"), blocks, EMPTY, path)
+    full = path.read_bytes()
+    path.write_bytes(full[:-5])
+    run_main_loop(make_runner("min-coloring"), blocks, EMPTY, path)
+    assert path.read_bytes() == full
+
+
 def test_results_digest_orders_by_id():
     a = results_digest([TxError(tx_id=1, error="x"), TxError(tx_id=0, error="y")])
     b = results_digest([TxError(tx_id=0, error="y"), TxError(tx_id=1, error="x")])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,8 +13,11 @@ from blocksched.workload import (
     gen_block,
     gen_commutative_block,
     gen_stream,
+    gnp_edges,
 )
 from blocksched.analysis import gnp_graph
+
+from conftest import random_graph
 
 
 def test_chain_block_is_a_path():
@@ -94,3 +98,13 @@ def test_commutative_block_is_executable_and_conflicted():
     block = gen_commutative_block(14, seed=4)
     g = build_conflict_graph(block)
     assert g.edges  # conflicts are present, not a degenerate workload
+
+
+def test_gnp_edges_matches_the_independent_drawer():
+    # same edges and the same rng state after the call, so every caller
+    # keeps its random stream
+    for seed in range(50):
+        for n, p in [(0, 0.5), (1, 0.5), (7, 0.0), (12, 1.0), (30, 0.1), (40, 0.5)]:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert gnp_edges(ours, n, p) == random_graph(theirs, n, p).edges
+            assert ours.random() == theirs.random()
