@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import (
+    _check_permutation,
     descending_degree_order,
     exact_min_coloring,
     exact_min_weighted_coloring,
@@ -26,7 +27,7 @@ from .coloring import (
 from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ValidationError
 from .model import Block, block_to_text, stable_seed
-from .schedule import GraphSchedule, latency, level_schedule
+from .schedule import GraphSchedule, _set_bits, latency, level_schedule
 from .workload import block_from_graph, gnp_edges
 
 ORACLE_CAP = 10
@@ -48,15 +49,6 @@ def _independent_subsets(candidates: int, adj: Sequence[int]) -> Iterator[int]:
         for rest in _independent_subsets(compatible, adj):
             yield low | rest
         candidates &= ~low
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask &= ~low
-    return out
 
 
 def _component_optimum(
@@ -84,10 +76,10 @@ def _component_optimum(
     ) -> tuple[int, int, tuple[int, ...]]:
         """Run one level out of the ready times ``rd`` of ``mask``: the level's
         largest finish, the vertices left, and their new ready times."""
-        finish = {v: rd[v] + lens[v] for v in _bits(level_mask)}
+        finish = {v: rd[v] + lens[v] for v in _set_bits(level_mask)}
         rest = mask & ~level_mask
         new_ready = []
-        for w in _bits(rest):
+        for w in _set_bits(rest):
             r = rd[w]
             row = adj[w] & level_mask
             while row:
@@ -109,7 +101,7 @@ def _component_optimum(
         cached = memo.get(key)
         if cached is not None:
             return cached + shift
-        rd = dict(zip(_bits(mask), ready))
+        rd = dict(zip(_set_bits(mask), ready))
         best: int | None = None
         for level_mask in _independent_subsets(mask, adj):
             level_max, rest, new_ready = step(mask, rd, level_mask)
@@ -126,12 +118,12 @@ def _component_optimum(
     levels: list[tuple[int, ...]] = []
     mask, ready = full, (0,) * m
     while mask:
-        rd = dict(zip(_bits(mask), ready))
+        rd = dict(zip(_set_bits(mask), ready))
         target = solve(mask, ready)
         for level_mask in _independent_subsets(mask, adj):
             level_max, rest, new_ready = step(mask, rd, level_mask)
             if max(level_max, solve(rest, new_ready)) == target:
-                levels.append(tuple(vertices[v] for v in _bits(level_mask)))
+                levels.append(tuple(vertices[v] for v in _set_bits(level_mask)))
                 mask, ready = rest, new_ready
                 break
         else:  # pragma: no cover - solve() guarantees some level matches
@@ -316,9 +308,8 @@ def est_longest_path(g: ConflictGraph, order: Sequence[int] | None = None) -> in
     n = g.n
     if order is None:
         order = pos = range(n)
-    elif sorted(order) != list(range(n)):
-        raise ValidationError(f"order must be a permutation of 0..{n - 1}")
     else:
+        _check_permutation(order, n)
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i

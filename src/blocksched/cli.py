@@ -13,7 +13,7 @@ import sys
 from . import analysis, workload
 from .conflict import build_conflict_graph, dump_edges
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
-from .executor import execute_graph_schedule, execute_batch_schedule, simulate_execution
+from .executor import simulate_execution
 from .model import (
     GlobalState,
     read_block_file,
@@ -21,8 +21,8 @@ from .model import (
     write_block_file,
     write_stream_file,
 )
-from .replication import BUILTIN_RUNNERS, BatchPlan, make_runner, run_main_loop
-from .schedule import dump_levels, dump_schedule, latency, latency_stats, batch_to_graph
+from .replication import BUILTIN_RUNNERS, BatchPlan, make_runner, plan_block, run_main_loop
+from .schedule import batch_to_graph, dump_levels, dump_schedule, latency, latency_stats
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -77,38 +77,32 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_plan(args, block):
-    runner = make_runner(
+def _runner(args):
+    return make_runner(
         args.runner,
         color_order=args.color_order,
         exact_cap=args.exact_cap,
         weighted_cap=args.weighted_cap,
         epsilon_cutoff=args.treat_epsilon_homogeneous,
     )
-    g = build_conflict_graph(block)
-    plan = runner.make_schedule(block.txs, g)
-    if not runner.validate_schedule(block.txs, g, plan):
-        raise InvariantError(f"runner {runner.name!r} produced an invalid schedule")
-    return runner, g, plan
+
+
+def _graph_schedule(plan):
+    return batch_to_graph(plan.batches) if isinstance(plan, BatchPlan) else plan.schedule
 
 
 def cmd_schedule(args) -> int:
     block = read_block_file(args.block_file)
-    _, _, plan = _make_plan(args, block)
-    lengths = {tx.id: tx.length for tx in block.txs}
-    if isinstance(plan, BatchPlan):
-        graph_schedule = batch_to_graph(plan.batches)
-        levels = plan.levels
-    else:
-        graph_schedule = plan.schedule
-        levels = plan.levels
-    if plan.coloring_mode == "exact" and plan.exact is False:
+    plan = plan_block(_runner(args), block)
+    graph_schedule = _graph_schedule(plan)
+    # greedy runners report exact False too, but never tried an exact coloring
+    if plan.exact is False and plan.coloring_mode != "greedy":
         print("note: exact coloring above cap, fell back to greedy")
     print(dump_schedule(graph_schedule), end="")
-    if levels is not None:
+    if plan.levels is not None:
         print("levels:")
-        print(dump_levels(levels), end="")
-    stats = latency_stats(graph_schedule, lengths)
+        print(dump_levels(plan.levels), end="")
+    stats = latency_stats(graph_schedule, {tx.id: tx.length for tx in block.txs})
     print(f"block_latency {stats.block_latency}")
     print(f"mean_latency {stats.mean_latency:.4f}")
     print(f"p95_latency {stats.p95_latency}")
@@ -118,26 +112,19 @@ def cmd_schedule(args) -> int:
 def cmd_execute(args) -> int:
     block = read_block_file(args.block_file)
     state = _load_state(args.state)
-    _, _, plan = _make_plan(args, block)
-    lengths = {tx.id: tx.length for tx in block.txs}
-    if isinstance(plan, BatchPlan):
-        outcome = execute_batch_schedule(block, plan.batches, state)
-        graph_schedule = batch_to_graph(plan.batches)
-    elif args.trace:
-        from .executor import GraphExecutionHandle
-
-        handle = GraphExecutionHandle(block, plan.schedule, state, trace=True)
-        handle.start()
-        outcome = handle.outcome()
-        graph_schedule = plan.schedule
+    runner = _runner(args)
+    plan = plan_block(runner, block)
+    handle = runner.init_execution(block, plan, state, trace=args.trace)
+    handle.start()
+    outcome = handle.outcome()
+    if args.trace:
         print("trace:")
-        for tx_id, start_ns, end_ns in sorted(handle.trace or []):
+        for tx_id, start_ns, end_ns in sorted(handle.trace):
             print(f"{tx_id} {start_ns} {end_ns}")
-    else:
-        outcome = execute_graph_schedule(block, plan.schedule, state)
-        graph_schedule = plan.schedule
     if args.simulate:
+        graph_schedule = _graph_schedule(plan)
         _, makespan = simulate_execution(block, graph_schedule, state)
+        lengths = {tx.id: tx.length for tx in block.txs}
         expected = latency(graph_schedule, lengths) if block.txs else 0
         if makespan != expected:
             raise InvariantError(f"simulated makespan {makespan} != schedule latency {expected}")
@@ -155,17 +142,10 @@ def cmd_execute(args) -> int:
 
 
 def cmd_smr(args) -> int:
-    runner = make_runner(
-        args.runner,
-        color_order=args.color_order,
-        exact_cap=args.exact_cap,
-        weighted_cap=args.weighted_cap,
-        epsilon_cutoff=args.treat_epsilon_homogeneous,
-    )
     state = _load_state(args.state)
     blocks = read_stream_file(args.stream_file)
     final = run_main_loop(
-        runner,
+        _runner(args),
         blocks,
         state,
         args.ledger,

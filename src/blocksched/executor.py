@@ -112,7 +112,7 @@ class GraphExecutionHandle:
     Call :meth:`start` to launch the workers, call :meth:`drain_results`
     while :meth:`running` holds to receive results as they commit, then
     collect the final :meth:`outcome`. The handle does not validate the
-    schedule: :func:`execute_graph_schedule` and the replication runners
+    schedule: :func:`execute_graph_schedule` and ``replication.plan_block``
     check it before building one.
     """
 
@@ -296,7 +296,6 @@ def execute_graph_schedule(
     *,
     jitter_seed: int | None = None,
     max_jitter_us: int = 0,
-    trace: bool = False,
     max_workers: int = MAX_WORKERS,
 ) -> ExecutionOutcome:
     """Run the block concurrently under a valid graph schedule (blocking)."""
@@ -307,7 +306,6 @@ def execute_graph_schedule(
         state,
         jitter_seed=jitter_seed,
         max_jitter_us=max_jitter_us,
-        trace=trace,
         max_workers=max_workers,
     )
     handle.start()
@@ -353,6 +351,7 @@ class BatchExecutionHandle(GraphExecutionHandle):
         *,
         jitter_seed: int | None = None,
         max_jitter_us: int = 0,
+        trace: bool = False,
     ) -> None:
         super().__init__(
             block,
@@ -360,6 +359,7 @@ class BatchExecutionHandle(GraphExecutionHandle):
             state,
             jitter_seed=jitter_seed,
             max_jitter_us=max_jitter_us,
+            trace=trace,
         )
         self._batches = batches.batches
 

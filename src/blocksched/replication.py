@@ -1,7 +1,12 @@
-"""State-machine-replication main loop with pluggable block runners.
+"""State-machine-replication main loop with built-in block runners.
 
 A block runner bundles schedule synthesis, schedule validation, and an
-execution engine behind one interface. The main loop fetches blocks from an
+execution engine. Every built-in runner is one :class:`BlockRunner` driven by
+one name-keyed table, ``BUILTIN_RUNNERS``: each entry names the coloring step
+whose color classes become the levels (none for ``order``, which follows the
+block's list order) and whether the levels run as barrier batches.
+``plan_block`` builds the conflict graph, makes the plan and checks it; it is
+the one place a runner's plan is checked. The main loop fetches blocks from an
 ordered stream (file or generator backed; no real consensus layer here),
 checks sequence numbers and the previous-block hash, runs the block through
 the runner, applies the state changes, and appends a digest record to an
@@ -14,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
@@ -71,40 +75,6 @@ class BatchPlan:
     exact: bool | None = None
 
 
-class BlockRunner(ABC):
-    """Schedule synthesis plus execution engine behind one swappable interface.
-
-    ``make_schedule`` must be a pure deterministic function of the
-    transactions and the conflict constraints. Validation and execution
-    default to a :class:`GraphPlan` on the graph engine.
-    """
-
-    name: str = "runner"
-
-    @abstractmethod
-    def make_schedule(self, txs: Sequence[Transaction], constraints: ConflictGraph) -> Any: ...
-
-    def validate_schedule(
-        self, txs: Sequence[Transaction], constraints: ConflictGraph, plan: Any
-    ) -> bool:
-        return isinstance(plan, GraphPlan) and is_valid_schedule(plan.schedule, constraints)
-
-    def init_execution(self, block: Block, plan: Any, state: GlobalState) -> Any:
-        return GraphExecutionHandle(block, plan.schedule, state)
-
-    def start_execution(self, execution: Any) -> None:
-        execution.start()
-
-    def is_execution_running(self, execution: Any) -> bool:
-        return execution.running()
-
-    def next_execution_results(self, execution: Any) -> list[TxResult]:
-        return execution.drain_results()
-
-    def state_changes(self, execution: Any) -> dict[str, int]:
-        return execution.outcome().state_changes
-
-
 def _color_partition(coloring: Coloring, color_order: str) -> tuple[tuple[int, ...], ...]:
     if color_order == "size-desc":
         return size_descending_color_order(coloring)
@@ -113,98 +83,81 @@ def _color_partition(coloring: Coloring, color_order: str) -> tuple[tuple[int, .
     raise ValidationError(f"unknown color order {color_order!r}")
 
 
-class OrderFollowingRunner(BlockRunner):
-    """Baseline: direct every conflict edge by the consensus list order."""
+# Coloring steps: (runner, txs, conflict graph) -> (coloring, coloring_mode,
+# exact). Each looks up the coloring functions as module globals when it runs,
+# so a patched global (as the benchmark's tracer installs) takes effect.
 
-    name = "order"
-
-    def make_schedule(self, txs, constraints):
-        return GraphPlan(schedule=total_order_schedule(txs, constraints))
-
-
-class _ColoringRunnerBase(BlockRunner):
-    def __init__(self, color_order: str = "size-desc") -> None:
-        self._color_order = color_order
-
-    def _partition(self, g: ConflictGraph) -> tuple[tuple[tuple[int, ...], ...], str, bool]:
-        raise NotImplementedError
-
-    def make_schedule(self, txs, constraints):
-        levels, mode, exact = self._partition(constraints)
-        return GraphPlan(
-            schedule=level_schedule(levels, constraints),
-            levels=levels,
-            coloring_mode=mode,
-            exact=exact,
-        )
+def _greedy_step(runner, txs, g):
+    return greedy_coloring(g, descending_degree_order(g)), "greedy", False
 
 
-class GreedyColoringRunner(_ColoringRunnerBase):
-    """Level schedule from a first-fit coloring in descending-degree order."""
-
-    name = "greedy"
-
-    def _partition(self, g):
-        coloring = greedy_coloring(g, descending_degree_order(g))
-        return _color_partition(coloring, self._color_order), "greedy", False
+def _min_coloring_step(runner, txs, g):
+    """Exact minimal coloring, greedy above the exact cap."""
+    try:
+        return exact_min_coloring(g, cap=runner.exact_cap), "exact", True
+    except CapacityError:
+        return greedy_coloring(g, descending_degree_order(g)), "exact", False
 
 
-class MinColoringRunner(_ColoringRunnerBase):
-    """Level schedule from an exact minimal coloring, greedy above the cap."""
+def _weighted_coloring_step(runner, txs, g):
+    """Exact minimal weighted coloring, greedy above the weighted cap.
 
-    name = "min-coloring"
-
-    def __init__(self, color_order: str = "size-desc", exact_cap: int = 64) -> None:
-        super().__init__(color_order)
-        self._exact_cap = exact_cap
-
-    def _partition(self, g):
-        try:
-            coloring = exact_min_coloring(g, cap=self._exact_cap)
-            exact = True
-        except CapacityError:
-            coloring = greedy_coloring(g, descending_degree_order(g))
-            exact = False
-        return _color_partition(coloring, self._color_order), "exact", exact
-
-
-class WeightedColoringRunner(BlockRunner):
-    """Level schedule from an exact minimal weighted coloring.
-
-    Weighted coloring needs the transaction lengths, so this runner overrides
-    ``make_schedule`` instead of sharing the unweighted base. With
-    ``epsilon_cutoff`` set, a block whose length spread is within the cutoff
-    is treated as homogeneous and colored unweighted. Falls back to greedy
-    above the exact cap.
+    With ``epsilon_cutoff`` set, a block whose length spread is within the
+    cutoff is treated as homogeneous and colored unweighted.
     """
+    lengths = {tx.id: tx.length for tx in txs}
+    spread = max(lengths.values()) - min(lengths.values()) if lengths else 0
+    try:
+        if runner.epsilon_cutoff is not None and spread <= runner.epsilon_cutoff:
+            return exact_min_coloring(g, cap=runner.weighted_cap), "exact", True
+        coloring = exact_min_weighted_coloring(g, lengths, cap=runner.weighted_cap)
+        return coloring, "weighted-exact", True
+    except CapacityError:
+        return greedy_coloring(g, descending_degree_order(g)), "weighted-exact", False
 
-    name = "weighted-coloring"
 
-    def __init__(
-        self,
-        color_order: str = "size-desc",
-        exact_cap: int = 20,
-        epsilon_cutoff: int | None = None,
-    ) -> None:
-        self._color_order = color_order
-        self._exact_cap = exact_cap
-        self._epsilon_cutoff = epsilon_cutoff
+# Runner name -> (coloring step, levels run as barrier batches). ``order`` has
+# no coloring step: it directs every conflict edge by the block's list order.
+# The CLI's --runner choices come from these keys.
+BUILTIN_RUNNERS: dict[str, tuple[Callable | None, bool]] = {
+    "order": (None, False),
+    "greedy": (_greedy_step, False),
+    "min-coloring": (_min_coloring_step, False),
+    "weighted-coloring": (_weighted_coloring_step, False),
+    "batch": (_greedy_step, True),
+}
 
-    def make_schedule(self, txs, constraints):
-        lengths = {tx.id: tx.length for tx in txs}
-        spread = max(lengths.values()) - min(lengths.values()) if lengths else 0
-        mode = "weighted-exact"
-        exact = True
-        try:
-            if self._epsilon_cutoff is not None and spread <= self._epsilon_cutoff:
-                coloring = exact_min_coloring(constraints, cap=self._exact_cap)
-                mode = "exact"
-            else:
-                coloring = exact_min_weighted_coloring(constraints, lengths, cap=self._exact_cap)
-        except CapacityError:
-            coloring = greedy_coloring(constraints, descending_degree_order(constraints))
-            exact = False
-        levels = _color_partition(coloring, self._color_order)
+
+@dataclass(frozen=True)
+class BlockRunner:
+    """A built-in runner: its name in ``BUILTIN_RUNNERS`` plus the coloring
+    options. ``make_schedule`` is a pure deterministic function of the
+    transactions and the conflict constraints."""
+
+    name: str = "order"
+    color_order: str = "size-desc"
+    exact_cap: int = 64
+    weighted_cap: int = 20
+    epsilon_cutoff: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.name not in BUILTIN_RUNNERS:
+            raise ValidationError(
+                f"unknown runner {self.name!r}; choose from {sorted(BUILTIN_RUNNERS)}"
+            )
+
+    def make_schedule(
+        self, txs: Sequence[Transaction], constraints: ConflictGraph
+    ) -> GraphPlan | BatchPlan:
+        coloring_step, batch = BUILTIN_RUNNERS[self.name]
+        if coloring_step is None:
+            return GraphPlan(schedule=total_order_schedule(txs, constraints))
+        coloring, mode, exact = coloring_step(self, txs, constraints)
+        levels = _color_partition(coloring, self.color_order)
+        if batch:
+            return BatchPlan(
+                batches=BatchSchedule(levels), levels=levels, coloring_mode=mode, exact=exact
+            )
         return GraphPlan(
             schedule=level_schedule(levels, constraints),
             levels=levels,
@@ -212,40 +165,19 @@ class WeightedColoringRunner(BlockRunner):
             exact=exact,
         )
 
+    def validate_schedule(
+        self, txs: Sequence[Transaction], constraints: ConflictGraph, plan: Any
+    ) -> bool:
+        if isinstance(plan, BatchPlan):
+            return is_valid_batch_schedule(plan.batches, constraints)
+        return isinstance(plan, GraphPlan) and is_valid_schedule(plan.schedule, constraints)
 
-class BatchRunner(BlockRunner):
-    """Batch execution over the greedy-coloring partition."""
-
-    name = "batch"
-
-    def __init__(self, color_order: str = "size-desc") -> None:
-        self._color_order = color_order
-
-    def make_schedule(self, txs, constraints):
-        coloring = greedy_coloring(constraints, descending_degree_order(constraints))
-        levels = _color_partition(coloring, self._color_order)
-        return BatchPlan(
-            batches=BatchSchedule(levels), levels=levels, coloring_mode="greedy", exact=False
-        )
-
-    def validate_schedule(self, txs, constraints, plan):
-        return isinstance(plan, BatchPlan) and is_valid_batch_schedule(plan.batches, constraints)
-
-    def init_execution(self, block, plan, state):
-        return BatchExecutionHandle(block, plan.batches, state)
-
-
-# Runner name -> constructor over make_runner's keyword options; the CLI's
-# --runner choices come from these keys.
-BUILTIN_RUNNERS: dict[str, Callable[..., BlockRunner]] = {
-    "order": lambda **_: OrderFollowingRunner(),
-    "greedy": lambda color_order, **_: GreedyColoringRunner(color_order),
-    "min-coloring": lambda color_order, exact_cap, **_: MinColoringRunner(color_order, exact_cap),
-    "weighted-coloring": lambda color_order, weighted_cap, epsilon_cutoff, **_: (
-        WeightedColoringRunner(color_order, weighted_cap, epsilon_cutoff)
-    ),
-    "batch": lambda color_order, **_: BatchRunner(color_order),
-}
+    def init_execution(
+        self, block: Block, plan: GraphPlan | BatchPlan, state: GlobalState, *, trace: bool = False
+    ) -> GraphExecutionHandle:
+        if isinstance(plan, BatchPlan):
+            return BatchExecutionHandle(block, plan.batches, state, trace=trace)
+        return GraphExecutionHandle(block, plan.schedule, state, trace=trace)
 
 
 def make_runner(
@@ -256,40 +188,41 @@ def make_runner(
     weighted_cap: int = 20,
     epsilon_cutoff: int | None = None,
 ) -> BlockRunner:
-    if name not in BUILTIN_RUNNERS:
-        raise ValidationError(f"unknown runner {name!r}; choose from {sorted(BUILTIN_RUNNERS)}")
-    return BUILTIN_RUNNERS[name](
-        color_order=color_order,
-        exact_cap=exact_cap,
-        weighted_cap=weighted_cap,
-        epsilon_cutoff=epsilon_cutoff,
-    )
+    return BlockRunner(name, color_order, exact_cap, weighted_cap, epsilon_cutoff)
+
+
+def plan_block(runner: BlockRunner, block: Block) -> GraphPlan | BatchPlan:
+    """The runner's plan for a valid block, checked against its conflict graph.
+
+    This is the one place a runner's plan is checked: a plan that fails the
+    runner's own check is a fatal configuration error (InvariantError).
+    """
+    constraints = build_conflict_graph(block)
+    plan = runner.make_schedule(block.txs, constraints)
+    if not runner.validate_schedule(block.txs, constraints, plan):
+        raise InvariantError(f"runner {runner.name!r} produced an invalid schedule")
+    return plan
 
 
 def process_block(
     runner: BlockRunner, block: Block, state: GlobalState
 ) -> tuple[dict[str, int], BlockResults]:
-    """Run one block through a runner: constraints, schedule, validate, execute, drain.
+    """Run one block through a runner: plan, check, execute, drain.
 
     An invalid block produces one error result per transaction and leaves the
-    state untouched. A runner that produces a schedule failing its own
-    validation is a fatal configuration error.
+    state untouched.
     """
     problems = validate_block(block)
     if problems:
         reason = "; ".join(problems)
         return {}, [TxError(tx_id=tx.id, error=reason) for tx in block.txs]
-    constraints = build_conflict_graph(block)
-    plan = runner.make_schedule(block.txs, constraints)
-    if not runner.validate_schedule(block.txs, constraints, plan):
-        raise InvariantError(f"runner {runner.name!r} produced an invalid schedule")
-    execution = runner.init_execution(block, plan, state)
-    runner.start_execution(execution)
+    execution = runner.init_execution(block, plan_block(runner, block), state)
+    execution.start()
     results: BlockResults = []
-    while runner.is_execution_running(execution):
-        results.extend(runner.next_execution_results(execution))
-    results.extend(runner.next_execution_results(execution))
-    return runner.state_changes(execution), results
+    while execution.running():
+        results.extend(execution.drain_results())
+    results.extend(execution.drain_results())
+    return execution.outcome().state_changes, results
 
 
 # ---------------------------------------------------------------------------

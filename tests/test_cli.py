@@ -4,6 +4,7 @@ import pytest
 
 from blocksched.cli import main
 from blocksched.model import write_block_file, write_stream_file
+from blocksched.replication import BUILTIN_RUNNERS
 from blocksched.workload import WorkloadSpec, chain_block, gen_commutative_stream, gen_stream
 
 from conftest import make_block, make_tx, inject_tx_failure, run_bounded
@@ -80,6 +81,37 @@ def test_execute_trace_lists_all_transactions(chain_file, capsys):
     assert code == 0
     trace_lines = [l for l in out.splitlines() if l and l[0].isdigit()]
     assert len(trace_lines) >= 6
+
+
+@pytest.mark.parametrize("runner", list(BUILTIN_RUNNERS))
+def test_execute_trace_has_one_interval_per_transaction(chain_file, capsys, runner):
+    code, out, _ = run_cli(capsys, "execute", chain_file, "--runner", runner, "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    intervals = lines[lines.index("trace:") + 1 : lines.index("results:")]
+    assert sorted(int(line.split()[0]) for line in intervals) == list(range(6))
+
+
+@pytest.mark.parametrize(
+    "flags, noted",
+    [
+        (["--runner", "min-coloring"], False),
+        (["--runner", "min-coloring", "--exact-cap", "4"], True),
+        (["--runner", "weighted-coloring", "--weighted-cap", "25"], False),
+        (["--runner", "weighted-coloring"], True),
+        (["--runner", "weighted-coloring", "--weighted-cap", "4", "--treat-epsilon-homogeneous", "0"], True),
+        (["--runner", "greedy"], False),
+        (["--runner", "batch"], False),
+        (["--runner", "order"], False),
+    ],
+)
+def test_schedule_notes_every_exact_fallback(tmp_path, capsys, flags, noted):
+    path = tmp_path / "chain25.json"
+    write_block_file(path, chain_block(25))
+    code, out, _ = run_cli(capsys, "schedule", str(path), *flags)
+    assert code == 0
+    note = "note: exact coloring above cap, fell back to greedy"
+    assert (out.splitlines()[0] == note) is noted
 
 
 @pytest.mark.parametrize("runner", ["min-coloring", "batch"])

@@ -17,7 +17,7 @@ from blocksched.executor import (
     simulate_execution,
     stress_determinism,
 )
-from blocksched.model import GlobalState, ProgramKind
+from blocksched.model import GlobalState, ProgramKind, stable_seed
 from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
@@ -276,3 +276,45 @@ def test_stress_more_workers_than_cores():
             assert got == want, f"trial {trial}"
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def test_batch_engine_matches_sequential_under_jitter():
+    # C3 runs every runner's plan on the graph engine (batches become
+    # batch_to_graph edges); this drives the barrier engine itself
+    def without_barrier(block, schedule, state, **jitter):
+        handle = GraphExecutionHandle(
+            block, GraphSchedule(n=schedule.n, edges=frozenset()), state, **jitter
+        )
+        handle.start()
+        return handle.outcome()
+
+    missing_barrier_caught = False
+    for i in range(8):
+        block = gen_block(
+            WorkloadSpec(
+                n_txs=16,
+                key_universe=6,
+                length_mode="heterogeneous",
+                seed=stable_seed("batch-jitter", i),
+            )
+        )
+        g = build_conflict_graph(block)
+        batches = BatchSchedule(
+            partition_from_coloring(greedy_coloring(g, descending_degree_order(g)))
+        )
+
+        def run_batches(block, schedule, state, **jitter):
+            return execute_batch_schedule(block, batches, state, **jitter)
+
+        baseline = batch_to_graph(batches)
+        report = stress_determinism(
+            block, baseline, EMPTY, trials=25, max_jitter_us=80, seed=i, executor=run_batches
+        )
+        assert report.ok, report.diff
+        if not missing_barrier_caught:
+            missing_barrier_caught = not stress_determinism(
+                block, baseline, EMPTY, trials=25, max_jitter_us=80, seed=i,
+                executor=without_barrier,
+            ).ok
+    # negative control: the same jitter exposes a run that skips the barrier
+    assert missing_barrier_caught

@@ -1,7 +1,9 @@
 import threading
+from collections import Counter
 
 import pytest
 
+from blocksched import replication
 from blocksched.conflict import build_conflict_graph
 from blocksched.errors import InvariantError, ParseError, ValidationError
 from blocksched.executor import MAX_WORKERS, execute_sequential, simulate_execution
@@ -363,3 +365,61 @@ def test_batch_plan_validation_catches_conflicts():
 
     bad = BatchPlan(batches=BatchSchedule(batches=((0, 1), (2,))), levels=((0, 1), (2,)))
     assert not runner.validate_schedule(block.txs, g, bad)
+
+
+# Module globals of replication that the benchmark's tracer replaces with
+# timing wrappers. A runner must look each up when it runs, not bind it at
+# import, or the traced run silently reports zero for that layer.
+TRACED_GLOBALS = (
+    "build_conflict_graph",
+    "descending_degree_order",
+    "greedy_coloring",
+    "exact_min_coloring",
+    "level_schedule",
+    "total_order_schedule",
+    "is_valid_schedule",
+    "block_hash",
+    "GraphExecutionHandle",
+    "BatchExecutionHandle",
+)
+GREEDY = {"descending_degree_order", "greedy_coloring"}
+LEVELS = {"level_schedule", "is_valid_schedule", "GraphExecutionHandle"}
+
+
+@pytest.mark.parametrize(
+    "name, options, reached",
+    [
+        ("order", {}, {"total_order_schedule", "is_valid_schedule", "GraphExecutionHandle"}),
+        ("greedy", {}, GREEDY | LEVELS),
+        ("min-coloring", {}, {"exact_min_coloring"} | LEVELS),
+        ("min-coloring", {"exact_cap": 2}, {"exact_min_coloring"} | GREEDY | LEVELS),
+        ("weighted-coloring", {}, LEVELS),
+        ("weighted-coloring", {"epsilon_cutoff": 10**6}, {"exact_min_coloring"} | LEVELS),
+        ("weighted-coloring", {"weighted_cap": 2}, GREEDY | LEVELS),
+        ("batch", {}, GREEDY | {"BatchExecutionHandle"}),
+    ],
+)
+def test_runners_call_the_traced_module_globals(monkeypatch, tmp_path, name, options, reached):
+    calls = Counter()
+
+    def counting(attr, original):
+        if isinstance(original, type):
+            class Counted(original):
+                def __init__(self, *args, **kwargs):
+                    calls[attr] += 1
+                    super().__init__(*args, **kwargs)
+
+            return Counted
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for attr in TRACED_GLOBALS:
+        monkeypatch.setattr(replication, attr, counting(attr, getattr(replication, attr)))
+    blocks = gen_stream(stream_specs(2))
+    run_main_loop(make_runner(name, **options), blocks, EMPTY, tmp_path / "ledger")
+    assert set(calls) == reached | {"build_conflict_graph", "block_hash"}
+    assert all(count == len(blocks) for count in calls.values()), calls
