@@ -13,7 +13,7 @@ import sys
 from . import analysis, workload
 from .conflict import build_conflict_graph, dump_edges
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
-from .executor import simulate_execution
+from .executor import _simulate_checked
 from .model import (
     GlobalState,
     read_block_file,
@@ -95,8 +95,7 @@ def cmd_schedule(args) -> int:
     block = read_block_file(args.block_file)
     plan = plan_block(_runner(args), block)
     graph_schedule = _graph_schedule(plan)
-    # greedy runners report exact False too, but never tried an exact coloring
-    if plan.exact is False and plan.coloring_mode != "greedy":
+    if plan.exact is False:
         print("note: exact coloring above cap, fell back to greedy")
     print(dump_schedule(graph_schedule), end="")
     if plan.levels is not None:
@@ -123,7 +122,7 @@ def cmd_execute(args) -> int:
             print(f"{tx_id} {start_ns} {end_ns}")
     if args.simulate:
         graph_schedule = _graph_schedule(plan)
-        _, makespan = simulate_execution(block, graph_schedule, state)
+        _, makespan = _simulate_checked(block, graph_schedule, state)
         lengths = {tx.id: tx.length for tx in block.txs}
         expected = latency(graph_schedule, lengths) if block.txs else 0
         if makespan != expected:

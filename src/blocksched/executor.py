@@ -393,6 +393,14 @@ def simulate_execution(
     exactly its length; the returned makespan equals the schedule's latency.
     """
     _check_graph_schedule(block, schedule)
+    return _simulate_checked(block, schedule, state)
+
+
+def _simulate_checked(
+    block: Block, schedule: GraphSchedule, state: GlobalState
+) -> tuple[ExecutionOutcome, int]:
+    """``simulate_execution`` for a schedule already checked against the
+    block's conflict graph (as ``replication.plan_block`` does)."""
     by_id = {tx.id: tx for tx in block.txs}
     lengths = {tx.id: tx.length for tx in block.txs}
     n = schedule.n

@@ -243,9 +243,28 @@ def _require(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
+def _typed(obj: Mapping, key: str, kind: type, where: str):
+    """A required field whose JSON type must be exactly ``kind`` (int or
+    list; a bool is not an int)."""
+    value = _require(obj, key, where)
+    if type(value) is not kind:
+        raise ParseError(f"{where}: {key} must be {'an integer' if kind is int else 'a list'}")
+    return value
+
+
+def _is_object(value) -> bool:
+    return type(value) is dict or isinstance(value, Mapping)
+
+
 def block_from_obj(obj: Mapping) -> Block:
+    """Parse one block document; every malformed one raises ``ParseError``.
+
+    Each field is checked once: present, of its JSON type (``id``,
+    ``length`` and ``const`` integers, ``reads`` and ``writes`` lists), then
+    its value, by the dataclass checks.
+    """
     where = "block"
-    if not isinstance(obj, Mapping):
+    if not _is_object(obj):
         raise ParseError("block document must be a JSON object")
     seq = _require(obj, "seq", where)
     prev_hex = _require(obj, "prev_hash", where)
@@ -261,21 +280,35 @@ def block_from_obj(obj: Mapping) -> Block:
     txs = []
     for i, raw in enumerate(raw_txs):
         twhere = f"tx[{i}]"
-        if not isinstance(raw, Mapping):
+        if not _is_object(raw):
             raise ParseError(f"{twhere}: must be a JSON object")
         prog = _require(raw, "program", twhere)
+        if not _is_object(prog):
+            # a program that is not an object has no kind
+            raise ParseError(f"{twhere}: missing field 'kind'")
         try:
             kind = ProgramKind(_require(prog, "kind", twhere))
         except ValueError as exc:
             raise ParseError(f"{twhere}: unknown program kind {prog.get('kind')!r}") from exc
+        tx_id = _typed(raw, "id", int, twhere)
+        reads = _typed(raw, "reads", list, twhere)
+        writes = _typed(raw, "writes", list, twhere)
+        length = _typed(raw, "length", int, twhere)
+        const = _typed(prog, "const", int, twhere)
+        try:
+            read_set, write_set = frozenset(reads), frozenset(writes)
+        except TypeError as exc:  # an unhashable key
+            raise ParseError(
+                f"{twhere}: transaction {tx_id}: object keys must be non-empty strings"
+            ) from exc
         try:
             txs.append(
                 Transaction(
-                    id=_require(raw, "id", twhere),
-                    read_set=frozenset(_require(raw, "reads", twhere)),
-                    write_set=frozenset(_require(raw, "writes", twhere)),
-                    length=_require(raw, "length", twhere),
-                    program=TxProgram(kind=kind, const_value=_require(prog, "const", twhere)),
+                    id=tx_id,
+                    read_set=read_set,
+                    write_set=write_set,
+                    length=length,
+                    program=TxProgram(kind=kind, const_value=const),
                 )
             )
         except ValidationError as exc:

@@ -64,7 +64,9 @@ class GraphPlan:
     schedule: GraphSchedule
     levels: tuple[tuple[int, ...], ...] | None = None
     coloring_mode: str | None = None
-    exact: bool | None = None  # False when the exact colorer fell back to greedy
+    # True or False when the runner tried an exact coloring (False: it fell
+    # back to greedy); None when it never tries one
+    exact: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def _color_partition(coloring: Coloring, color_order: str) -> tuple[tuple[int, .
 # so a patched global (as the benchmark's tracer installs) takes effect.
 
 def _greedy_step(runner, txs, g):
-    return greedy_coloring(g, descending_degree_order(g)), "greedy", False
+    return greedy_coloring(g, descending_degree_order(g)), "greedy", None
 
 
 def _min_coloring_step(runner, txs, g):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .conflict import ConflictGraph
 from .errors import ValidationError
@@ -70,14 +72,49 @@ class WorkloadSpec:
 def gnp_edges(rng: random.Random, n: int, p: float) -> frozenset[tuple[int, int]]:
     """Edges of one G(n, p) draw: each pair (u, v) with u < v, in lexicographic
     order, takes exactly one ``rng.random()`` and is an edge when it falls
-    below p. Every seeded graph drawer goes through this one loop, so the
-    random stream after the call is the same wherever it is used."""
-    draw = rng.random
+    below p. Every seeded graph drawer goes through this one function, so the
+    random stream after the call is the same wherever it is used.
+
+    The draws are read in bulk and give the same edges and the same ``rng``
+    state as calling ``rng.random()`` once per pair. This rests on two
+    properties of CPython's Mersenne Twister ``random.Random``:
+
+    - ``random()`` takes the next two 32-bit words w0, w1 and returns
+      k / 2**53 with k = (w0 >> 5) * 2**26 + (w1 >> 6);
+    - ``getrandbits(64 * m).to_bytes(8 * m, "little")`` holds exactly the
+      next 2m words, in order, each little-endian.
+
+    So a row's m draws come from one ``getrandbits`` call, and
+    ``random() < p`` holds exactly when k < ceil(min(p, 1) * 2**53). Since
+    k >> 45 is the top byte of w0, that byte alone decides every draw except
+    those whose top byte equals the limit's, which are checked on all 53 bits.
+    """
+    limit = math.ceil(min(p, 1.0) * 2**53) if p > 0 else 0  # 0 for NaN as well
+    top = limit >> 45
+    # certain[b] is 1 when every draw whose top byte is b falls below the limit
+    certain = b"\x01" * top + b"\x00" * (256 - top)
+    ids = tuple(range(n))
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw() < p:
-                edges.append((u, v))
+    for u in range(n - 1):
+        m = n - u - 1
+        words = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+        tops = words[3::8]
+        hits = tops.translate(certain)
+        # a Python loop per edge on sparse rows, a C pass over the row on dense ones
+        if hits.count(1) * 16 > m:
+            edges += [(u, v) for v in compress(ids[u + 1 :], hits)]
+        else:
+            i = hits.find(1)
+            while i >= 0:
+                edges.append((u, u + 1 + i))
+                i = hits.find(1, i + 1)
+        if top < 256:
+            i = tops.find(top)
+            while i >= 0:
+                w = int.from_bytes(words[8 * i : 8 * i + 8], "little")  # w1 << 32 | w0
+                if ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < limit:
+                    edges.append((u, u + 1 + i))
+                i = tops.find(top, i + 1)
     return frozenset(edges)
 
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from blocksched import executor, replication
 from blocksched.cli import main
-from blocksched.model import write_block_file, write_stream_file
+from blocksched.model import block_to_obj, write_block_file, write_stream_file
 from blocksched.replication import BUILTIN_RUNNERS
 from blocksched.workload import WorkloadSpec, chain_block, gen_commutative_stream, gen_stream
 
@@ -232,6 +233,42 @@ def test_malformed_block_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "schedule", str(path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("id", "x"), ("length", "2"), ("reads", 5), ("reads", "ab"), ("const", "x"), ("const", 1.5)],
+)
+def test_wrongly_typed_field_exits_2(tmp_path, capsys, field, value):
+    obj = block_to_obj(chain_block(2))
+    target = obj["txs"][1]["program"] if field == "const" else obj["txs"][1]
+    target[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "schedule", str(path))
+    assert code == 2
+    assert err.startswith(f"error: tx[1]: {field} must be")
+
+
+@pytest.mark.parametrize("runner", list(BUILTIN_RUNNERS))
+def test_execute_simulate_checks_the_plan_once(chain_file, capsys, monkeypatch, runner):
+    calls = []
+
+    def counting(name, real):
+        def check(*args):
+            calls.append(name)
+            return real(*args)
+
+        return check
+
+    for module in (replication, executor):
+        for name in ("is_valid_schedule", "is_valid_batch_schedule"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    code, out, _ = run_cli(capsys, "execute", chain_file, "--runner", runner, "--simulate")
+    assert code == 0
+    assert "makespan" in out
+    expected = "is_valid_batch_schedule" if runner == "batch" else "is_valid_schedule"
+    assert calls == [expected]
 
 
 def test_conflicts_dump(chain_file, capsys):

@@ -101,6 +101,13 @@ def test_min_coloring_runner_falls_back_above_cap():
     assert small.exact is True
 
 
+@pytest.mark.parametrize("name", ["order", "greedy", "batch"])
+def test_runners_that_never_try_an_exact_coloring_report_exact_none(name):
+    block = chain_block(5)
+    plan = make_runner(name).make_schedule(block.txs, build_conflict_graph(block))
+    assert plan.exact is None
+
+
 def test_runner_latencies_on_chain_block():
     block = chain_block(10)
     g = build_conflict_graph(block)

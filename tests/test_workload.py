@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blocksched.conflict import build_conflict_graph
 from blocksched.errors import ValidationError
@@ -108,3 +109,42 @@ def test_gnp_edges_matches_the_independent_drawer():
             ours, theirs = random.Random(seed), random.Random(seed)
             assert gnp_edges(ours, n, p) == random_graph(theirs, n, p).edges
             assert ours.random() == theirs.random()
+
+
+# Probabilities at the edges of the drawer's exact arithmetic: at and around a
+# boundary of the top byte it classifies on (j / 256), single units of 2**-53,
+# a hair on either side of 1/2, tiny, out of range, infinite and NaN.
+_EDGE_PS = [j / 256 for j in (1, 2, 13, 128, 255)] + [
+    2**-53,
+    3 * 2**-53,
+    13 * 2**45 * 2**-53,
+    (13 * 2**45 + 1) * 2**-53,
+    (13 * 2**45 - 1) * 2**-53,
+    0.5 + 2**-30,
+    0.5 - 2**-30,
+    1e-9,
+    -0.25,
+    -math.inf,
+    1.5,
+    math.inf,
+    math.nan,
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(0, 300),
+    p=st.sampled_from(_EDGE_PS + ["first-draw", "above-first-draw"]),
+)
+@example(seed=7, n=2, p="first-draw")
+@example(seed=7, n=2, p="above-first-draw")
+@example(seed=11, n=300, p="first-draw")
+def test_gnp_edges_matches_the_independent_drawer_at_edge_probabilities(seed, n, p):
+    if p == "first-draw":  # the pair (0, 1) draws exactly p, which is not below p
+        p = random.Random(seed).random()
+    elif p == "above-first-draw":  # the next float up: (0, 1) is an edge
+        p = math.nextafter(random.Random(seed).random(), 1.0)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert gnp_edges(ours, n, p) == random_graph(theirs, n, p).edges
+    assert ours.random() == theirs.random()
