@@ -24,7 +24,7 @@ from .coloring import (
     greedy_coloring,
     partition_from_coloring,
 )
-from .conflict import ConflictGraph, build_conflict_graph
+from .conflict import ConflictGraph, _trusted_graph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ValidationError
 from .model import Block, block_to_text, stable_seed
 from .schedule import GraphSchedule, _set_bits, latency, level_schedule
@@ -328,7 +328,7 @@ def gnp_graph(n: int, p: float, seed: int) -> ConflictGraph:
     """Seeded Erdos-Renyi style graph: each pair is an edge with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must be in [0, 1]")
-    return ConflictGraph(n=n, edges=gnp_edges(random.Random(seed), n, p))
+    return _trusted_graph(n, gnp_edges(random.Random(seed), n, p))
 
 
 @dataclass(frozen=True)
@@ -522,7 +522,7 @@ def hetero_counterexample_search(
         edges = gnp_edges(rng, n, p)
         if not edges:
             continue
-        g = ConflictGraph(n=n, edges=edges)
+        g = _trusted_graph(n, edges)
         if homogeneous:
             lengths = [1] * n
         else:
@@ -613,7 +613,7 @@ def homogeneous_reorder_witness_search(
         edges = gnp_edges(rng, n, p)
         if not edges:
             continue
-        g = ConflictGraph(n=n, edges=edges)
+        g = _trusted_graph(n, edges)
         chi = exact_min_coloring(g).k
         order = list(range(n))
         rng.shuffle(order)

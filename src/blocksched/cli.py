@@ -22,7 +22,7 @@ from .model import (
     write_stream_file,
 )
 from .replication import BUILTIN_RUNNERS, BatchPlan, make_runner, plan_block, run_main_loop
-from .schedule import batch_to_graph, dump_levels, dump_schedule, latency, latency_stats
+from .schedule import batch_to_graph, dump_levels, dump_schedule, latency_stats
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -123,10 +123,6 @@ def cmd_execute(args) -> int:
     if args.simulate:
         graph_schedule = _graph_schedule(plan)
         _, makespan = _simulate_checked(block, graph_schedule, state)
-        lengths = {tx.id: tx.length for tx in block.txs}
-        expected = latency(graph_schedule, lengths) if block.txs else 0
-        if makespan != expected:
-            raise InvariantError(f"simulated makespan {makespan} != schedule latency {expected}")
         print(f"makespan {makespan}")
     print("results:")
     for result in sorted(outcome.results, key=lambda r: r.tx_id):

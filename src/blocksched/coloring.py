@@ -68,8 +68,10 @@ def partition_from_coloring(coloring: Coloring) -> tuple[tuple[int, ...], ...]:
 
 
 def descending_degree_order(g: ConflictGraph) -> list[int]:
-    """Vertex ids sorted by degree descending, ties broken by ascending id."""
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    """Vertex ids sorted by degree descending, ties broken by ascending id
+    (the sort is stable over ascending ids)."""
+    neg_degrees = [-len(nbrs) for nbrs in g.neighbors]
+    return sorted(range(g.n), key=neg_degrees.__getitem__)
 
 
 def _check_permutation(order: Sequence[int], n: int) -> None:

@@ -53,6 +53,15 @@ class ConflictGraph:
         return len(self.neighbors[v])
 
 
+def _trusted_graph(n: int, edges: frozenset[tuple[int, int]]) -> ConflictGraph:
+    """A ``ConflictGraph`` from edges already canonical for ``n`` (each
+    ``0 <= u < v < n``), built without the per-edge check."""
+    g = object.__new__(ConflictGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    return g
+
+
 def conflicts(tx1: Transaction, tx2: Transaction) -> bool:
     """True iff the pair clashes: read/write, write/read, or write/write overlap."""
     if tx1.id == tx2.id:
@@ -85,7 +94,7 @@ def build_conflict_graph(block: Block) -> ConflictGraph:
             for v in readers.get(key, ()):
                 if v != u:
                     edges.add((u, v) if u < v else (v, u))
-    return ConflictGraph(n=n, edges=frozenset(edges))
+    return _trusted_graph(n, frozenset(edges))
 
 
 def dump_edges(g: ConflictGraph) -> str:

@@ -437,8 +437,10 @@ def _simulate_checked(
         state_changes=changes,
         emission_order=tuple(r.tx_id for r in results),
     )
-    if block.txs and makespan != latency(schedule, lengths):
-        raise InvariantError("simulation makespan diverged from schedule latency")
+    if block.txs:
+        expected = latency(schedule, lengths)
+        if makespan != expected:
+            raise InvariantError(f"simulated makespan {makespan} != schedule latency {expected}")
     return outcome, makespan
 
 

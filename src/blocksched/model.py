@@ -40,7 +40,7 @@ class ProgramKind(str, Enum):
     SLEEP_ONLY = "sleep_only"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxProgram:
     """What a transaction does with the values it reads.
 
@@ -60,7 +60,7 @@ class TxProgram:
         object.__setattr__(self, "const_value", wrap_int64(self.const_value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One transaction: identity, declared access sets, duration, program.
 
@@ -76,15 +76,46 @@ class Transaction:
     program: TxProgram
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValidationError(f"transaction id must be non-negative, got {self.id}")
-        if self.length < 1:
-            raise ValidationError(f"transaction {self.id}: length must be >= 1, got {self.length}")
+        if self.id < 0 or self.length < 1:
+            raise ValidationError(_id_or_length_fault(self.id, self.length))
         object.__setattr__(self, "read_set", frozenset(self.read_set))
         object.__setattr__(self, "write_set", frozenset(self.write_set))
-        for key in self.read_set | self.write_set:
-            if not isinstance(key, str) or not key:
-                raise ValidationError(f"transaction {self.id}: object keys must be non-empty strings")
+        if _has_bad_key(self.read_set | self.write_set):
+            raise ValidationError(_key_fault(self.id))
+
+
+def _id_or_length_fault(tx_id: int, length: int) -> str:
+    if tx_id < 0:
+        return f"transaction id must be non-negative, got {tx_id}"
+    return f"transaction {tx_id}: length must be >= 1, got {length}"
+
+
+def _key_fault(tx_id) -> str:
+    return f"transaction {tx_id}: object keys must be non-empty strings"
+
+
+def _has_bad_key(keys) -> bool:
+    return any(not isinstance(key, str) or not key for key in keys)
+
+
+# The setters of Transaction's slots; they bypass the frozen __setattr__.
+_set_id, _set_read_set, _set_write_set, _set_length, _set_program = (
+    getattr(Transaction, name).__set__ for name in Transaction.__slots__
+)
+
+
+def _trusted_transaction(
+    tx_id: int, read_set: frozenset, write_set: frozenset, length: int, program: TxProgram
+) -> Transaction:
+    """A ``Transaction`` from fields the caller has already checked, built
+    without ``__init__`` and its ``__post_init__`` re-checks."""
+    tx = object.__new__(Transaction)
+    _set_id(tx, tx_id)
+    _set_read_set(tx, read_set)
+    _set_write_set(tx, write_set)
+    _set_length(tx, length)
+    _set_program(tx, program)
+    return tx
 
 
 @dataclass(frozen=True)
@@ -243,28 +274,40 @@ def _require(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
-def _typed(obj: Mapping, key: str, kind: type, where: str):
-    """A required field whose JSON type must be exactly ``kind`` (int or
-    list; a bool is not an int)."""
-    value = _require(obj, key, where)
-    if type(value) is not kind:
-        raise ParseError(f"{where}: {key} must be {'an integer' if kind is int else 'a list'}")
-    return value
+_GONE = object()  # the value of a missing field
+_KINDS = {kind.value: kind for kind in ProgramKind}
 
 
-def _is_object(value) -> bool:
-    return type(value) is dict or isinstance(value, Mapping)
+def _field_fault(i: int, key: str, value, what: str) -> ParseError:
+    if value is _GONE:
+        return ParseError(f"tx[{i}]: missing field {key!r}")
+    return ParseError(f"tx[{i}]: {key} must be {what}")
+
+
+def _kind_value(i: int, kind) -> str:
+    """The ``ProgramKind`` value of a program's raw kind that is not already
+    one of the value strings; raises for a missing or unknown kind."""
+    if kind is _GONE:
+        raise ParseError(f"tx[{i}]: missing field 'kind'")
+    try:
+        return ProgramKind(kind).value
+    except ValueError as exc:
+        raise ParseError(f"tx[{i}]: unknown program kind {kind!r}") from exc
 
 
 def block_from_obj(obj: Mapping) -> Block:
     """Parse one block document; every malformed one raises ``ParseError``.
 
-    Each field is checked once: present, of its JSON type (``id``,
-    ``length`` and ``const`` integers, ``reads`` and ``writes`` lists), then
-    its value, by the dataclass checks.
+    One pass over the transactions checks each field once, in this order
+    per transaction: ``program`` and its ``kind``; ``id``, ``reads``,
+    ``writes``, ``length`` and ``const``, each present and of its JSON type;
+    hashable keys; ``id >= 0``; ``length >= 1``; and last the keys, each
+    distinct key of the block once. The transactions are then built without
+    re-running the ``Transaction`` checks, and equal programs are shared
+    within the block.
     """
     where = "block"
-    if not _is_object(obj):
+    if type(obj) is not dict and not isinstance(obj, Mapping):
         raise ParseError("block document must be a JSON object")
     seq = _require(obj, "seq", where)
     prev_hex = _require(obj, "prev_hash", where)
@@ -278,41 +321,48 @@ def block_from_obj(obj: Mapping) -> Block:
     if not isinstance(raw_txs, list):
         raise ParseError(f"{where}: txs must be a list")
     txs = []
+    programs: dict[tuple[str, int], TxProgram] = {}
+    valid_keys: set = set()  # the keys of this block already checked
     for i, raw in enumerate(raw_txs):
-        twhere = f"tx[{i}]"
-        if not _is_object(raw):
-            raise ParseError(f"{twhere}: must be a JSON object")
-        prog = _require(raw, "program", twhere)
-        if not _is_object(prog):
-            # a program that is not an object has no kind
-            raise ParseError(f"{twhere}: missing field 'kind'")
-        try:
-            kind = ProgramKind(_require(prog, "kind", twhere))
-        except ValueError as exc:
-            raise ParseError(f"{twhere}: unknown program kind {prog.get('kind')!r}") from exc
-        tx_id = _typed(raw, "id", int, twhere)
-        reads = _typed(raw, "reads", list, twhere)
-        writes = _typed(raw, "writes", list, twhere)
-        length = _typed(raw, "length", int, twhere)
-        const = _typed(prog, "const", int, twhere)
+        if type(raw) is not dict and not isinstance(raw, Mapping):
+            raise ParseError(f"tx[{i}]: must be a JSON object")
+        prog = raw.get("program", _GONE)
+        if prog is _GONE:
+            raise ParseError(f"tx[{i}]: missing field 'program'")
+        # a program that is not an object has no kind
+        is_object = type(prog) is dict or isinstance(prog, Mapping)
+        kind = prog.get("kind", _GONE) if is_object else _GONE
+        if type(kind) is not str or kind not in _KINDS:
+            kind = _kind_value(i, kind)
+        tx_id = raw.get("id", _GONE)
+        if type(tx_id) is not int:
+            raise _field_fault(i, "id", tx_id, "an integer")
+        reads = raw.get("reads", _GONE)
+        if type(reads) is not list:
+            raise _field_fault(i, "reads", reads, "a list")
+        writes = raw.get("writes", _GONE)
+        if type(writes) is not list:
+            raise _field_fault(i, "writes", writes, "a list")
+        length = raw.get("length", _GONE)
+        if type(length) is not int:
+            raise _field_fault(i, "length", length, "an integer")
+        const = prog.get("const", _GONE)
+        if type(const) is not int:
+            raise _field_fault(i, "const", const, "an integer")
         try:
             read_set, write_set = frozenset(reads), frozenset(writes)
         except TypeError as exc:  # an unhashable key
-            raise ParseError(
-                f"{twhere}: transaction {tx_id}: object keys must be non-empty strings"
-            ) from exc
-        try:
-            txs.append(
-                Transaction(
-                    id=tx_id,
-                    read_set=read_set,
-                    write_set=write_set,
-                    length=length,
-                    program=TxProgram(kind=kind, const_value=const),
-                )
-            )
-        except ValidationError as exc:
-            raise ParseError(f"{twhere}: {exc}") from exc
+            raise ParseError(f"tx[{i}]: {_key_fault(tx_id)}") from exc
+        if tx_id < 0 or length < 1:
+            raise ParseError(f"tx[{i}]: {_id_or_length_fault(tx_id, length)}")
+        if not (valid_keys.issuperset(read_set) and valid_keys.issuperset(write_set)):
+            if _has_bad_key(read_set) or _has_bad_key(write_set):
+                raise ParseError(f"tx[{i}]: {_key_fault(tx_id)}")
+            valid_keys.update(read_set, write_set)
+        program = programs.get((kind, const))
+        if program is None:
+            program = programs[kind, const] = TxProgram(_KINDS[kind], const)
+        txs.append(_trusted_transaction(tx_id, read_set, write_set, length, program))
     try:
         return Block(seq=seq, prev_hash=prev_hash, txs=tuple(txs))
     except ValidationError as exc:

@@ -33,6 +33,9 @@ class GraphSchedule:
                 raise ValidationError(f"edge ({u}, {v}) out of range for n={self.n}")
             if u == v:
                 raise ValidationError(f"self-loop on vertex {u}")
+        self._require_acyclic()
+
+    def _require_acyclic(self) -> None:
         # acyclicity is part of the type: reject cyclic edge sets on construction
         if len(self._topo) != self.n:
             raise ValidationError("schedule edges contain a cycle")
@@ -88,6 +91,16 @@ class GraphSchedule:
 
     def has_path(self, u: int, v: int) -> bool:
         return bool((self.ancestor_bits[v] >> u) & 1)
+
+
+def _trusted_schedule(n: int, edges: frozenset[tuple[int, int]]) -> GraphSchedule:
+    """A ``GraphSchedule`` from edges already in range and free of self-loops,
+    built without the per-edge check; acyclicity is still checked."""
+    s = object.__new__(GraphSchedule)
+    object.__setattr__(s, "n", n)
+    object.__setattr__(s, "edges", edges)
+    s._require_acyclic()
+    return s
 
 
 @dataclass(frozen=True)
@@ -244,7 +257,7 @@ def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> Grap
             for u, v in batch:
                 edges.add((u, v))
                 anc[v] |= anc[u] | (1 << u)
-    return GraphSchedule(n=g.n, edges=frozenset(edges))
+    return _trusted_schedule(g.n, frozenset(edges))
 
 
 def total_order_schedule(block: Block | Sequence[Transaction], g: ConflictGraph) -> GraphSchedule:
@@ -259,7 +272,7 @@ def total_order_schedule(block: Block | Sequence[Transaction], g: ConflictGraph)
             edges.add((u, v))
         else:
             edges.add((v, u))
-    return GraphSchedule(n=g.n, edges=frozenset(edges))
+    return _trusted_schedule(g.n, frozenset(edges))
 
 
 def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
@@ -273,7 +286,7 @@ def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
         for u in earlier:
             for v in later:
                 edges.add((u, v))
-    return GraphSchedule(n=n, edges=frozenset(edges))
+    return _trusted_schedule(n, frozenset(edges))
 
 
 def batch_latency(b: BatchSchedule, lengths: Mapping[int, int]) -> int:

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from itertools import compress
 
-from .conflict import ConflictGraph
+from .conflict import ConflictGraph, _trusted_graph
 from .errors import ValidationError
 from .model import (
     Block,
@@ -135,7 +135,7 @@ def gen_block(spec: WorkloadSpec, *, seq: int = 0, prev_hash: bytes = b"") -> Bl
     """Deterministic block for a spec; the same spec yields identical blocks."""
     rng = random.Random(spec.seed)
     if spec.conflict_p is not None:
-        g = ConflictGraph(n=spec.n_txs, edges=gnp_edges(rng, spec.n_txs, spec.conflict_p))
+        g = _trusted_graph(spec.n_txs, gnp_edges(rng, spec.n_txs, spec.conflict_p))
         lengths = [_draw_length(spec, rng) for _ in range(spec.n_txs)]
         return block_from_graph(
             g,

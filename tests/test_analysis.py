@@ -305,3 +305,13 @@ def test_catalog_counts_match_known_values():
 def test_stable_seed_is_stable():
     assert stable_seed(1, 2.5, "x") == stable_seed(1, 2.5, "x")
     assert stable_seed(1) != stable_seed(2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 400), p=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]), seed=st.integers(0, 2**32))
+def test_gnp_graph_equals_checked_construction(n, p, seed):
+    g = gnp_graph(n, p, seed)
+    checked = ConflictGraph(n=n, edges=g.edges)
+    assert (g.n, g.edges, g.neighbors, g.adj_bits) == (
+        checked.n, checked.edges, checked.neighbors, checked.adj_bits
+    )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from blocksched import executor, replication
+from blocksched import cli, executor, replication
 from blocksched.cli import main
 from blocksched.model import block_to_obj, write_block_file, write_stream_file
 from blocksched.replication import BUILTIN_RUNNERS
@@ -269,6 +269,26 @@ def test_execute_simulate_checks_the_plan_once(chain_file, capsys, monkeypatch, 
     assert "makespan" in out
     expected = "is_valid_batch_schedule" if runner == "batch" else "is_valid_schedule"
     assert calls == [expected]
+
+
+@pytest.mark.parametrize("runner", list(BUILTIN_RUNNERS))
+def test_execute_simulate_computes_latency_once(chain_file, capsys, monkeypatch, runner):
+    calls = []
+    for module in (cli, executor, replication):
+        if hasattr(module, "latency"):
+            real = module.latency
+            monkeypatch.setattr(module, "latency", lambda *a, real=real: calls.append(1) or real(*a))
+    code, out, _ = run_cli(capsys, "execute", chain_file, "--runner", runner, "--simulate")
+    assert code == 0
+    assert "makespan" in out
+    assert len(calls) == 1
+
+
+def test_execute_simulate_divergence_names_both_values(chain_file, capsys, monkeypatch):
+    monkeypatch.setattr(executor, "latency", lambda *a: 99)
+    code, _, err = run_cli(capsys, "execute", chain_file, "--simulate")
+    assert code != 0
+    assert err == "invariant violation: simulated makespan 2 != schedule latency 99\n"
 
 
 def test_conflicts_dump(chain_file, capsys):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksched.analysis import gnp_graph
 from blocksched.coloring import (
     Coloring,
     assert_legal,
@@ -228,3 +229,10 @@ def test_assert_legal_names_offending_pair():
 
 def test_dump_coloring_format():
     assert dump_coloring(Coloring((2, 1))) == "0 2\n1 1\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 400), p=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]), seed=st.integers(0, 2**32))
+def test_descending_degree_order_equals_key_pair_sort(n, p, seed):
+    g = gnp_graph(n, p, seed)
+    assert descending_degree_order(g) == sorted(range(g.n), key=lambda v: (-g.degree(v), v))

@@ -95,3 +95,20 @@ def test_non_canonical_edges_rejected():
 def test_dump_edges_format():
     g = ConflictGraph(n=3, edges=frozenset({(1, 2), (0, 2)}))
     assert dump_edges(g) == "0 2\n1 2\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(0, 300),
+    universe=st.integers(4, 60),
+    conflict_p=st.none() | st.sampled_from([0.0, 0.05, 0.5]),
+    seed=st.integers(0, 2**32),
+)
+def test_built_graph_equals_checked_construction(n, universe, conflict_p, seed):
+    block = gen_block(WorkloadSpec(n_txs=n, key_universe=universe, conflict_p=conflict_p, seed=seed))
+    g = build_conflict_graph(block)
+    checked = ConflictGraph(n=g.n, edges=g.edges)
+    assert g == checked
+    assert type(g.edges) is frozenset
+    assert g.neighbors == checked.neighbors
+    assert g.adj_bits == checked.adj_bits

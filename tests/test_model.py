@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import json
+import pickle
+from collections.abc import Mapping
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blocksched.errors import ParseError, ValidationError
 from blocksched.model import (
@@ -10,7 +14,10 @@ from blocksched.model import (
     ProgramKind,
     Transaction,
     TxProgram,
+    block_from_obj,
     block_from_text,
+    block_hash,
+    block_to_obj,
     block_to_text,
     run_program,
     validate_block,
@@ -78,6 +85,21 @@ def test_transaction_validation():
         make_tx(-1)
     with pytest.raises(ValidationError):
         make_tx(0, writes={""})
+    # direct construction keeps every check the parser makes once per block
+    program = TxProgram(ProgramKind.SLEEP_ONLY)
+    ok = {"id": 0, "read_set": frozenset({"a"}), "write_set": frozenset(), "length": 1, "program": program}
+    for field, value, message in [
+        ("id", -1, "transaction id must be non-negative, got -1"),
+        ("length", 0, "transaction 0: length must be >= 1, got 0"),
+        ("read_set", {"a", ""}, "transaction 0: object keys must be non-empty strings"),
+        ("write_set", {5}, "transaction 0: object keys must be non-empty strings"),
+        ("write_set", [None], "transaction 0: object keys must be non-empty strings"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            Transaction(**{**ok, field: value})
+        assert str(info.value) == message
+    tx = Transaction(**{**ok, "read_set": ["a", "b"], "write_set": {"c"}})
+    assert tx.read_set == frozenset({"a", "b"}) and type(tx.write_set) is frozenset
 
 
 def test_validate_block_duplicate_and_sparse_ids():
@@ -299,3 +321,229 @@ def test_block_rejects_negative_seq():
 def test_program_kind_is_checked():
     with pytest.raises(ValidationError):
         TxProgram(kind="nope")  # type: ignore[arg-type]
+
+
+# The parser before the one-pass loop, kept as an oracle: every field through
+# ``_require`` / ``_typed`` and every object through the checked constructors.
+def _oracle_require(obj, key, where):
+    if key not in obj:
+        raise ParseError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _oracle_typed(obj, key, kind, where):
+    value = _oracle_require(obj, key, where)
+    if type(value) is not kind:
+        raise ParseError(f"{where}: {key} must be {'an integer' if kind is int else 'a list'}")
+    return value
+
+
+def _oracle_is_object(value):
+    return type(value) is dict or isinstance(value, Mapping)
+
+
+def oracle_block_from_obj(obj):
+    where = "block"
+    if not _oracle_is_object(obj):
+        raise ParseError("block document must be a JSON object")
+    seq = _oracle_require(obj, "seq", where)
+    prev_hex = _oracle_require(obj, "prev_hash", where)
+    raw_txs = _oracle_require(obj, "txs", where)
+    if not isinstance(seq, int) or isinstance(seq, bool):
+        raise ParseError(f"{where}: seq must be an integer")
+    try:
+        prev_hash = bytes.fromhex(prev_hex)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: prev_hash is not valid hex") from exc
+    if not isinstance(raw_txs, list):
+        raise ParseError(f"{where}: txs must be a list")
+    txs = []
+    for i, raw in enumerate(raw_txs):
+        twhere = f"tx[{i}]"
+        if not _oracle_is_object(raw):
+            raise ParseError(f"{twhere}: must be a JSON object")
+        prog = _oracle_require(raw, "program", twhere)
+        if not _oracle_is_object(prog):
+            raise ParseError(f"{twhere}: missing field 'kind'")
+        try:
+            kind = ProgramKind(_oracle_require(prog, "kind", twhere))
+        except ValueError as exc:
+            raise ParseError(f"{twhere}: unknown program kind {prog.get('kind')!r}") from exc
+        tx_id = _oracle_typed(raw, "id", int, twhere)
+        reads = _oracle_typed(raw, "reads", list, twhere)
+        writes = _oracle_typed(raw, "writes", list, twhere)
+        length = _oracle_typed(raw, "length", int, twhere)
+        const = _oracle_typed(prog, "const", int, twhere)
+        try:
+            read_set, write_set = frozenset(reads), frozenset(writes)
+        except TypeError as exc:
+            raise ParseError(
+                f"{twhere}: transaction {tx_id}: object keys must be non-empty strings"
+            ) from exc
+        try:
+            txs.append(
+                Transaction(
+                    id=tx_id,
+                    read_set=read_set,
+                    write_set=write_set,
+                    length=length,
+                    program=TxProgram(kind=kind, const_value=const),
+                )
+            )
+        except ValidationError as exc:
+            raise ParseError(f"{twhere}: {exc}") from exc
+    try:
+        return Block(seq=seq, prev_hash=prev_hash, txs=tuple(txs))
+    except ValidationError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _outcome(parse, obj):
+    """The parsed block's text and hash, or the error text."""
+    try:
+        block = parse(obj)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("block", block, block_to_text(block), block_hash(block))
+
+
+_SPECS = st.builds(
+    WorkloadSpec,
+    n_txs=st.integers(0, 60),
+    key_universe=st.integers(4, 40),
+    length_mode=st.sampled_from(["homogeneous", "heterogeneous"]),
+    conflict_p=st.none() | st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SPECS, seq=st.integers(0, 5), prev_hash=st.binary(max_size=8))
+def test_parse_equals_oracle_on_generated_blocks(spec, seq, prev_hash):
+    obj = json.loads(block_to_text(gen_block(spec, seq=seq, prev_hash=prev_hash)))
+    ours = _outcome(block_from_obj, obj)
+    assert ours == _outcome(oracle_block_from_obj, obj)
+    assert block_from_text(ours[2]) == ours[1]
+
+
+_ODD_VALUES = [
+    _GONE, -1, 0, 1, 2**64, -(2**63) - 1, 1.5, True, False, None, "", "x", "a", "write_const",
+    "sum_and_add", "bogus", [], ["a"], ["a", "a"], ["a", ""], ["a", 5], [None], [["a"]],
+    [{"a": 1}], {}, {"kind": "write_const"}, {"kind": "sleep_only", "const": 1},
+]
+
+
+def _edit(field, value):
+    return (field, 1, next(i for i, v in enumerate(_ODD_VALUES) if v == value and type(v) is type(value)))
+
+
+@settings(max_examples=300, deadline=None)
+# an unhashable key is reported before a bad id or length; a bad id or length
+# before an empty or non-string key
+@example(edits=[_edit("prog.kind", "bogus"), _edit("tx.id", "x")])
+@example(edits=[_edit("tx.id", 1.5), _edit("tx.reads", "x")])
+@example(edits=[_edit("tx.reads", None), _edit("tx.writes", {})])
+@example(edits=[_edit("tx.writes", "a"), _edit("tx.length", True)])
+@example(edits=[_edit("tx.length", "x"), _edit("prog.const", 1.5)])
+@example(edits=[_edit("prog.const", None), _edit("tx.reads", [["a"]])])
+@example(edits=[_edit("tx.id", -1), _edit("tx.reads", [["a"]])])
+@example(edits=[_edit("tx.length", 0), _edit("tx.writes", [{"a": 1}])])
+@example(edits=[_edit("tx.length", 0), _edit("tx.writes", ["a", 5])])
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["seq", "prev_hash", "txs", "tx.id", "tx.reads", "tx.writes",
+                             "tx.length", "tx.program", "prog.kind", "prog.const"]),
+            st.integers(0, 2),
+            st.sampled_from(range(len(_ODD_VALUES))),
+        ),
+        max_size=4,
+    )
+)
+def test_parse_error_text_and_order_equal_oracle(edits):
+    obj = {"seq": 0, "prev_hash": "", "txs": json.loads(json.dumps(_BASE_TXS * 2))}
+    for tx_id, tx in enumerate(obj["txs"]):
+        tx["id"] = tx_id
+    for field, which, value_index in edits:
+        value = copy.deepcopy(_ODD_VALUES[value_index])
+        owner, _, key = field.rpartition(".")
+        txs = obj["txs"] if isinstance(obj["txs"], list) else []
+        target = obj if not owner else (txs[which] if which < len(txs) else None)
+        if owner == "prog":
+            target = target.get("program") if isinstance(target, dict) else None
+        if not isinstance(target, dict):
+            continue
+        if value is _GONE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    assert _outcome(block_from_obj, obj) == _outcome(oracle_block_from_obj, obj)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    _GOLDEN_REJECTS + _TYPE_FAULTS,
+    ids=[f"doc{i}" for i in range(len(_GOLDEN_REJECTS) + len(_TYPE_FAULTS))],
+)
+def test_golden_corpus_equals_oracle(text, message):
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        return
+    assert _outcome(block_from_obj, obj) == _outcome(oracle_block_from_obj, obj) == ("error", message)
+
+
+def test_parse_shares_programs_per_kind_and_const():
+    block = gen_block(WorkloadSpec(n_txs=400, key_universe=50, seed=3))
+    parsed = block_from_text(block_to_text(block))
+    shared = {}
+    for tx in parsed.txs:
+        key = (tx.program.kind, tx.program.const_value)
+        assert shared.setdefault(key, tx.program) is tx.program
+    assert len(shared) < len(parsed.txs)
+    # const values that wrap to the same int64 are equal programs
+    obj = block_to_obj(block)
+    obj["txs"][0]["program"] = {"kind": "write_const", "const": 2**64 + 5}
+    obj["txs"][1]["program"] = {"kind": "write_const", "const": 5}
+    again = block_from_obj(obj)
+    assert again.txs[0].program == again.txs[1].program == TxProgram(ProgramKind.WRITE_CONST, 5)
+
+
+def test_parse_accepts_enum_kinds_and_other_mappings():
+    class Doc(Mapping):
+        def __init__(self, data):
+            self._data = data
+
+        def __getitem__(self, key):
+            return self._data[key]
+
+        def __iter__(self):
+            return iter(self._data)
+
+        def __len__(self):
+            return len(self._data)
+
+    obj = block_to_obj(gen_block(WorkloadSpec(n_txs=6, key_universe=4, seed=8)))
+    for tx in obj["txs"]:
+        tx["program"] = Doc({"kind": ProgramKind(tx["program"]["kind"]), "const": tx["program"]["const"]})
+    wrapped = Doc({**obj, "txs": [Doc(tx) for tx in obj["txs"]]})
+    assert _outcome(block_from_obj, wrapped) == _outcome(oracle_block_from_obj, wrapped)
+
+
+def test_transaction_and_program_are_slotted_and_frozen():
+    tx = make_tx(3, reads={"a"}, writes={"b", "c"}, length=2, kind=ProgramKind.SUM_AND_ADD, const=-4)
+    for obj in (tx, tx.program):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(TypeError):
+            vars(obj)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tx.length = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tx.program.const_value = 1
+    parsed = block_from_text(block_to_text(make_block([tx]))).txs[0]
+    for original in (tx, parsed, tx.program, parsed.program):
+        for clone in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original), copy.copy(original)):
+            assert clone == original
+            assert hash(clone) == hash(original)
+            assert type(clone) is type(original)
+

@@ -17,6 +17,7 @@ from blocksched.errors import ValidationError
 from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
+    _trusted_schedule,
     batch_latency,
     batch_to_graph,
     dump_levels,
@@ -399,3 +400,35 @@ def test_dump_formats():
     s = GraphSchedule(n=3, edges=frozenset({(0, 2), (0, 1)}))
     assert dump_schedule(s) == "3 2\n0 1\n0 2\n"
     assert dump_levels([(2, 0), (1,)]) == "0 2\n1\n"
+
+
+def _checked_equal(s):
+    checked = GraphSchedule(n=s.n, edges=s.edges)
+    assert s == checked
+    assert type(s.edges) is frozenset
+    assert s.topo_order() == checked.topo_order()
+    assert (s.succs, s.preds, s.ancestor_bits) == (checked.succs, checked.preds, checked.ancestor_bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(0, 250),
+    universe=st.integers(4, 50),
+    conflict_p=st.none() | st.sampled_from([0.0, 0.05, 0.5]),
+    seed=st.integers(0, 2**32),
+)
+def test_built_schedules_equal_checked_construction(n, universe, conflict_p, seed):
+    block = gen_block(WorkloadSpec(n_txs=n, key_universe=universe, conflict_p=conflict_p, seed=seed))
+    g = build_conflict_graph(block)
+    partition = partition_from_coloring(greedy_coloring(g, descending_degree_order(g)))
+    _checked_equal(level_schedule(partition, g))
+    _checked_equal(total_order_schedule(block, g))
+    shuffled = list(block.txs)
+    random.Random(seed).shuffle(shuffled)
+    _checked_equal(total_order_schedule(shuffled, g))
+    _checked_equal(batch_to_graph(BatchSchedule(partition)))
+
+
+def test_trusted_schedule_still_rejects_a_cycle():
+    with pytest.raises(ValidationError, match="cycle"):
+        _trusted_schedule(3, frozenset({(0, 1), (1, 2), (2, 0)}))
