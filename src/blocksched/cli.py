@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import analysis, workload
+from . import analysis, coloring, workload
 from .conflict import build_conflict_graph, dump_edges
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
 from .executor import _simulate_checked
@@ -21,7 +21,14 @@ from .model import (
     write_block_file,
     write_stream_file,
 )
-from .replication import BUILTIN_RUNNERS, BatchPlan, make_runner, plan_block, run_main_loop
+from .replication import (
+    BUILTIN_RUNNERS,
+    COLOR_ORDERS,
+    BatchPlan,
+    make_runner,
+    plan_block,
+    run_main_loop,
+)
 from .schedule import batch_to_graph, dump_levels, dump_schedule, latency_stats
 
 EXIT_OK = 0
@@ -52,20 +59,20 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--color-order",
-        choices=["size-desc", "ascending"],
+        choices=list(COLOR_ORDERS),
         default="size-desc",
         help="order in which color classes become levels",
     )
     parser.add_argument(
         "--exact-cap",
         type=int,
-        default=64,
+        default=coloring.EXACT_COLORING_CAP,
         help="max block size for exact minimal coloring before greedy fallback",
     )
     parser.add_argument(
         "--weighted-cap",
         type=int,
-        default=20,
+        default=coloring.EXACT_WEIGHTED_CAP,
         help="max block size for exact weighted coloring before greedy fallback",
     )
     parser.add_argument(

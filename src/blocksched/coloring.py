@@ -41,9 +41,6 @@ class Coloring:
     def k(self) -> int:
         return max(self.colors) if self.colors else 0
 
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
-
 
 def is_legal(coloring: Coloring, g: ConflictGraph) -> bool:
     if len(coloring.colors) != g.n:

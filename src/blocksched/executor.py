@@ -6,7 +6,7 @@ counts its unfinished predecessors, and a fixed set of at most
 ``MAX_WORKERS`` threads, never one per transaction, pops the smallest ready
 id from one heap. A worker reads the latest committed value of each read-set
 key, runs the program, then under the engine's lock commits its writes,
-emits its result and decrements its successors' counts, queueing each that
+records its result and decrements its successors' counts, queueing each that
 reaches zero. Batch execution is the same engine without edges and with one
 barrier: the next batch opens when the current one has no unfinished
 transaction. Validity of the schedule (every conflicting pair path-ordered)
@@ -15,9 +15,14 @@ no two conflicting transactions ever overlap, so writes go to one overlay
 dict over the input state and need nothing beyond atomic per-key
 publication.
 
+A handle is started with ``start()``; ``outcome()`` waits for the workers
+and returns every result in emission order with the merged state changes.
 The run fails fast: the first exception raised by a transaction body stops
 it, wakes every waiter, and makes ``outcome()`` raise ``InvariantError``
 chained to that exception. A partial outcome is never returned.
+
+The simulation only fixes finish order and times; its transactions run
+through :func:`execute_sequential`, the reference oracle.
 
 Emission order of non-conflicting transactions is NOT part of the
 deterministic contract; equivalence compares the unordered result set and
@@ -30,7 +35,7 @@ import heapq
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .conflict import build_conflict_graph
@@ -101,19 +106,18 @@ def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -
     )
 
 
-def _check_graph_schedule(block: Block, schedule: GraphSchedule) -> None:
-    if not is_valid_schedule(schedule, build_conflict_graph(block)):
-        raise ValidationError("invalid schedule: some conflicting pair has no dependency path")
+_INVALID_SCHEDULE = "invalid schedule: some conflicting pair has no dependency path"
 
 
 class GraphExecutionHandle:
     """A prepared concurrent execution of one valid graph schedule.
 
-    Call :meth:`start` to launch the workers, call :meth:`drain_results`
-    while :meth:`running` holds to receive results as they commit, then
-    collect the final :meth:`outcome`. The handle does not validate the
-    schedule: :func:`execute_graph_schedule` and ``replication.plan_block``
-    check it before building one.
+    :meth:`start` launches the workers; :meth:`outcome` waits for them and
+    returns the results in emission order with the merged state changes.
+    With ``trace=True``, :attr:`trace` holds each transaction's
+    ``(tx_id, start_ns, end_ns)`` once :meth:`outcome` has returned. The
+    handle does not validate the schedule: :func:`execute_graph_schedule`
+    and ``replication.plan_block`` check it before building one.
     """
 
     def __init__(
@@ -124,7 +128,6 @@ class GraphExecutionHandle:
         *,
         jitter_seed: int | None = None,
         max_jitter_us: int = 0,
-        early_release_bug: bool = False,
         trace: bool = False,
         max_workers: int = MAX_WORKERS,
     ) -> None:
@@ -142,19 +145,16 @@ class GraphExecutionHandle:
         self._ready: list[int] = []
         self._overlay: dict[str, int] = {}
         self._results: list[TxResult] = []
-        self._cursor = 0
         self._failure: tuple[int, Exception] | None = None
         self._started = False
         self._lock = threading.Lock()
         self._work_cv = threading.Condition(self._lock)
-        self._results_cv = threading.Condition(self._lock)
         self._workers = [
             threading.Thread(target=self._work, daemon=True)
             for _ in range(min(max_workers, self._pending))
         ]
         self._jitter_seed = jitter_seed
         self._max_jitter_us = max_jitter_us
-        self._early_release_bug = early_release_bug
         self.trace: list[tuple[int, int, int]] | None = [] if trace else None
 
     # -- workers --
@@ -176,7 +176,7 @@ class GraphExecutionHandle:
                 with self._lock:
                     if self._failure is None:
                         self._failure = (tx.id, exc)
-                    self._wake_all()
+                    self._work_cv.notify_all()
                 return
 
     def _run_one(self, tx: Transaction) -> None:
@@ -187,31 +187,19 @@ class GraphExecutionHandle:
         reads = {k: overlay[k] if k in overlay else state.get(k) for k in sorted(tx.read_set)}
         written = run_program(tx, reads)
         _sleep_jitter(rng, self._max_jitter_us)
-        if self._early_release_bug:
-            # fault injection for negative tests: successors are released
-            # before the writes are committed, so they can observe stale state
-            with self._lock:
-                self._emit(tx.id, reads, written)
-                self._release(tx.id)
-            time.sleep(0.0001)
-            _sleep_jitter(rng, self._max_jitter_us)
-            with self._lock:
-                overlay.update(written)
-                self._retire()
-            return
+        self._commit(TxResult(tx_id=tx.id, read_values=reads, written_values=written), t0, rng)
+
+    def _commit(self, result: TxResult, t0: int, rng: random.Random | None) -> None:
+        """Publish the writes, then emit the result and release the successors."""
         with self._lock:
-            overlay.update(written)
+            self._overlay.update(result.written_values)
             if self.trace is not None:
-                self.trace.append((tx.id, t0, time.perf_counter_ns()))
-            self._emit(tx.id, reads, written)
-            self._release(tx.id)
+                self.trace.append((result.tx_id, t0, time.perf_counter_ns()))
+            self._results.append(result)
+            self._release(result.tx_id)
             self._retire()
 
     # -- bookkeeping, always under the lock --
-
-    def _emit(self, tx_id: int, reads: dict[str, int], written: dict[str, int]) -> None:
-        self._results.append(TxResult(tx_id=tx_id, read_values=reads, written_values=written))
-        self._results_cv.notify_all()
 
     def _release(self, tx_id: int) -> None:
         readied = 0
@@ -242,11 +230,7 @@ class GraphExecutionHandle:
     def _retire(self) -> None:
         self._pending -= 1
         if self._pending == 0:
-            self._wake_all()
-
-    def _wake_all(self) -> None:
-        self._work_cv.notify_all()
-        self._results_cv.notify_all()
+            self._work_cv.notify_all()
 
     # -- public surface --
 
@@ -257,21 +241,6 @@ class GraphExecutionHandle:
                 self._open_next_batch()
         for worker in self._workers:
             worker.start()
-
-    def running(self) -> bool:
-        with self._lock:
-            return self._live()
-
-    def drain_results(self) -> list[TxResult]:
-        """Results emitted since the last call; blocks until there is one or the run ends."""
-        with self._lock:
-            if not self._started:
-                raise ValidationError("execution was never started")
-            while self._cursor == len(self._results) and self._live():
-                self._results_cv.wait()
-            new = self._results[self._cursor :]
-            self._cursor = len(self._results)
-        return new
 
     def outcome(self) -> ExecutionOutcome:
         if not self._started:
@@ -289,53 +258,19 @@ class GraphExecutionHandle:
         )
 
 
-def execute_graph_schedule(
-    block: Block,
-    schedule: GraphSchedule,
-    state: GlobalState,
-    *,
-    jitter_seed: int | None = None,
-    max_jitter_us: int = 0,
-    max_workers: int = MAX_WORKERS,
-) -> ExecutionOutcome:
-    """Run the block concurrently under a valid graph schedule (blocking)."""
-    _check_graph_schedule(block, schedule)
-    handle = GraphExecutionHandle(
-        block,
-        schedule,
-        state,
-        jitter_seed=jitter_seed,
-        max_jitter_us=max_jitter_us,
-        max_workers=max_workers,
-    )
-    handle.start()
-    return handle.outcome()
+class _EarlyReleaseHandle(GraphExecutionHandle):
+    """The negative control's defect: successors are released before the
+    writes are committed, so they can observe stale state."""
 
-
-def execute_graph_schedule_broken(
-    block: Block,
-    schedule: GraphSchedule,
-    state: GlobalState,
-    *,
-    jitter_seed: int | None = None,
-    max_jitter_us: int = 0,
-    max_workers: int = MAX_WORKERS,
-) -> ExecutionOutcome:
-    """Deliberately defective executor that releases successors before
-    committing writes. Exists only as the negative control for determinism
-    tests."""
-    _check_graph_schedule(block, schedule)
-    handle = GraphExecutionHandle(
-        block,
-        schedule,
-        state,
-        jitter_seed=jitter_seed,
-        max_jitter_us=max_jitter_us,
-        early_release_bug=True,
-        max_workers=max_workers,
-    )
-    handle.start()
-    return handle.outcome()
+    def _commit(self, result: TxResult, t0: int, rng: random.Random | None) -> None:
+        with self._lock:
+            self._results.append(result)
+            self._release(result.tx_id)
+        time.sleep(0.0001)
+        _sleep_jitter(rng, self._max_jitter_us)
+        with self._lock:
+            self._overlay.update(result.written_values)
+            self._retire()
 
 
 class BatchExecutionHandle(GraphExecutionHandle):
@@ -364,6 +299,72 @@ class BatchExecutionHandle(GraphExecutionHandle):
         self._batches = batches.batches
 
 
+def _checked_run(
+    handle_cls: type[GraphExecutionHandle],
+    is_valid: Callable[..., bool],
+    error: str,
+    block: Block,
+    schedule: GraphSchedule | BatchSchedule,
+    state: GlobalState,
+    **options,
+) -> ExecutionOutcome:
+    """Check the schedule against the block's conflict graph, then run it to
+    its outcome on a new ``handle_cls``."""
+    if not is_valid(schedule, build_conflict_graph(block)):
+        raise ValidationError(error)
+    handle = handle_cls(block, schedule, state, **options)
+    handle.start()
+    return handle.outcome()
+
+
+def execute_graph_schedule(
+    block: Block,
+    schedule: GraphSchedule,
+    state: GlobalState,
+    *,
+    jitter_seed: int | None = None,
+    max_jitter_us: int = 0,
+    max_workers: int = MAX_WORKERS,
+) -> ExecutionOutcome:
+    """Run the block concurrently under a valid graph schedule (blocking)."""
+    return _checked_run(
+        GraphExecutionHandle,
+        is_valid_schedule,
+        _INVALID_SCHEDULE,
+        block,
+        schedule,
+        state,
+        jitter_seed=jitter_seed,
+        max_jitter_us=max_jitter_us,
+        max_workers=max_workers,
+    )
+
+
+def execute_graph_schedule_broken(
+    block: Block,
+    schedule: GraphSchedule,
+    state: GlobalState,
+    *,
+    jitter_seed: int | None = None,
+    max_jitter_us: int = 0,
+    max_workers: int = MAX_WORKERS,
+) -> ExecutionOutcome:
+    """Deliberately defective executor that releases successors before
+    committing writes. Exists only as the negative control for determinism
+    tests."""
+    return _checked_run(
+        _EarlyReleaseHandle,
+        is_valid_schedule,
+        _INVALID_SCHEDULE,
+        block,
+        schedule,
+        state,
+        jitter_seed=jitter_seed,
+        max_jitter_us=max_jitter_us,
+        max_workers=max_workers,
+    )
+
+
 def execute_batch_schedule(
     block: Block,
     batches: BatchSchedule,
@@ -373,15 +374,16 @@ def execute_batch_schedule(
     max_jitter_us: int = 0,
 ) -> ExecutionOutcome:
     """Run the block batch by batch (blocking)."""
-    if not is_valid_batch_schedule(batches, build_conflict_graph(block)):
-        raise ValidationError(
-            "batches must partition the block's transaction ids into conflict-free batches"
-        )
-    handle = BatchExecutionHandle(
-        block, batches, state, jitter_seed=jitter_seed, max_jitter_us=max_jitter_us
+    return _checked_run(
+        BatchExecutionHandle,
+        is_valid_batch_schedule,
+        "batches must partition the block's transaction ids into conflict-free batches",
+        block,
+        batches,
+        state,
+        jitter_seed=jitter_seed,
+        max_jitter_us=max_jitter_us,
     )
-    handle.start()
-    return handle.outcome()
 
 
 def simulate_execution(
@@ -392,7 +394,8 @@ def simulate_execution(
     A transaction starts when its last predecessor finishes and runs for
     exactly its length; the returned makespan equals the schedule's latency.
     """
-    _check_graph_schedule(block, schedule)
+    if not is_valid_schedule(schedule, build_conflict_graph(block)):
+        raise ValidationError(_INVALID_SCHEDULE)
     return _simulate_checked(block, schedule, state)
 
 
@@ -401,7 +404,6 @@ def _simulate_checked(
 ) -> tuple[ExecutionOutcome, int]:
     """``simulate_execution`` for a schedule already checked against the
     block's conflict graph (as ``replication.plan_block`` does)."""
-    by_id = {tx.id: tx for tx in block.txs}
     lengths = {tx.id: tx.length for tx in block.txs}
     n = schedule.n
     remaining = {v: len(schedule.preds[v]) for v in range(n)}
@@ -410,38 +412,26 @@ def _simulate_checked(
     for v in range(n):
         if remaining[v] == 0:
             heapq.heappush(heap, (lengths[v], v))
-    store = {k: v for k, v in state.items()}
-    written_keys: set[str] = set()
-    results: list[TxResult] = []
+    order: list[int] = []
+    finish_at: dict[int, int] = {}
     makespan = 0
     while heap:
         finish, v = heapq.heappop(heap)
         makespan = max(makespan, finish)
-        tx = by_id[v]
-        reads = {k: store.get(k, 0) for k in sorted(tx.read_set)}
-        written = run_program(tx, reads)
-        for key in sorted(written):
-            store[key] = written[key]
-        written_keys.update(written)
-        results.append(
-            TxResult(tx_id=v, read_values=reads, written_values=written, finish_time=finish)
-        )
+        order.append(v)
+        finish_at[v] = finish
         for succ in schedule.succs[v]:
             ready_at[succ] = max(ready_at[succ], finish)
             remaining[succ] -= 1
             if remaining[succ] == 0:
                 heapq.heappush(heap, (ready_at[succ] + lengths[succ], succ))
-    changes = {k: store[k] for k in sorted(written_keys)}
-    outcome = ExecutionOutcome(
-        results=tuple(results),
-        state_changes=changes,
-        emission_order=tuple(r.tx_id for r in results),
-    )
+    outcome = execute_sequential(block, order, state)
     if block.txs:
         expected = latency(schedule, lengths)
         if makespan != expected:
             raise InvariantError(f"simulated makespan {makespan} != schedule latency {expected}")
-    return outcome, makespan
+    timed = tuple(replace(r, finish_time=finish_at[r.tx_id]) for r in outcome.results)
+    return replace(outcome, results=timed), makespan
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
 
 from .coloring import (
+    EXACT_COLORING_CAP,
+    EXACT_WEIGHTED_CAP,
     Coloring,
     descending_degree_order,
     exact_min_coloring,
@@ -77,12 +79,14 @@ class BatchPlan:
     exact: bool | None = None
 
 
+# Orders in which color classes become levels; ``BlockRunner`` rejects others.
+COLOR_ORDERS = ("size-desc", "ascending")
+
+
 def _color_partition(coloring: Coloring, color_order: str) -> tuple[tuple[int, ...], ...]:
-    if color_order == "size-desc":
-        return size_descending_color_order(coloring)
     if color_order == "ascending":
         return partition_from_coloring(coloring)
-    raise ValidationError(f"unknown color order {color_order!r}")
+    return size_descending_color_order(coloring)
 
 
 # Coloring steps: (runner, txs, conflict graph) -> (coloring, coloring_mode,
@@ -138,8 +142,8 @@ class BlockRunner:
 
     name: str = "order"
     color_order: str = "size-desc"
-    exact_cap: int = 64
-    weighted_cap: int = 20
+    exact_cap: int = EXACT_COLORING_CAP
+    weighted_cap: int = EXACT_WEIGHTED_CAP
     epsilon_cutoff: int | None = None
 
     def __post_init__(self) -> None:
@@ -147,6 +151,8 @@ class BlockRunner:
             raise ValidationError(
                 f"unknown runner {self.name!r}; choose from {sorted(BUILTIN_RUNNERS)}"
             )
+        if self.color_order not in COLOR_ORDERS:
+            raise ValidationError(f"unknown color order {self.color_order!r}")
 
     def make_schedule(
         self, txs: Sequence[Transaction], constraints: ConflictGraph
@@ -186,8 +192,8 @@ def make_runner(
     name: str,
     *,
     color_order: str = "size-desc",
-    exact_cap: int = 64,
-    weighted_cap: int = 20,
+    exact_cap: int = EXACT_COLORING_CAP,
+    weighted_cap: int = EXACT_WEIGHTED_CAP,
     epsilon_cutoff: int | None = None,
 ) -> BlockRunner:
     return BlockRunner(name, color_order, exact_cap, weighted_cap, epsilon_cutoff)
@@ -209,7 +215,7 @@ def plan_block(runner: BlockRunner, block: Block) -> GraphPlan | BatchPlan:
 def process_block(
     runner: BlockRunner, block: Block, state: GlobalState
 ) -> tuple[dict[str, int], BlockResults]:
-    """Run one block through a runner: plan, check, execute, drain.
+    """Run one block through a runner: plan, check, execute.
 
     An invalid block produces one error result per transaction and leaves the
     state untouched.
@@ -220,11 +226,8 @@ def process_block(
         return {}, [TxError(tx_id=tx.id, error=reason) for tx in block.txs]
     execution = runner.init_execution(block, plan_block(runner, block), state)
     execution.start()
-    results: BlockResults = []
-    while execution.running():
-        results.extend(execution.drain_results())
-    results.extend(execution.drain_results())
-    return execution.outcome().state_changes, results
+    outcome = execution.outcome()
+    return outcome.state_changes, list(outcome.results)
 
 
 # ---------------------------------------------------------------------------

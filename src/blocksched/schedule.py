@@ -89,9 +89,6 @@ class GraphSchedule:
             anc[v] = acc
         return tuple(anc)
 
-    def has_path(self, u: int, v: int) -> bool:
-        return bool((self.ancestor_bits[v] >> u) & 1)
-
 
 def _trusted_schedule(n: int, edges: frozenset[tuple[int, int]]) -> GraphSchedule:
     """A ``GraphSchedule`` from edges already in range and free of self-loops,
@@ -152,12 +149,10 @@ def is_valid_schedule(s: GraphSchedule, g: ConflictGraph) -> bool:
 
 def is_valid_batch_schedule(b: BatchSchedule, g: ConflictGraph) -> bool:
     """True iff the batches partition g's vertices and no batch holds a conflicting pair."""
-    if b.ids != frozenset(range(g.n)):
+    try:
+        _normalize_partition(b.batches, g)
+    except ValidationError:
         return False
-    for batch in b.batches:
-        members = sum(1 << v for v in batch)
-        if any(g.adj_bits[v] & members for v in batch):
-            return False
     return True
 
 

@@ -115,6 +115,23 @@ def test_schedule_notes_every_exact_fallback(tmp_path, capsys, flags, noted):
     assert (out.splitlines()[0] == note) is noted
 
 
+@pytest.mark.parametrize("runner", ["min-coloring", "greedy", "batch"])
+@pytest.mark.parametrize(
+    "flags, levels",
+    [([], "1 2 3\n0\n"), (["--color-order", "ascending"], "0\n1 2 3\n")],
+)
+def test_schedule_color_order(tmp_path, capsys, runner, flags, levels):
+    # a star: the hub takes color 1 alone, the three leaves share color 2, so
+    # size-descending order puts the leaves first and color order the hub
+    hub = make_tx(0, writes={"h"})
+    leaves = [make_tx(i, reads={"h"}, writes={f"w{i}"}) for i in (1, 2, 3)]
+    path = tmp_path / "star.json"
+    write_block_file(path, make_block([hub, *leaves]))
+    code, out, _ = run_cli(capsys, "schedule", str(path), "--runner", runner, *flags)
+    assert code == 0
+    assert out.split("levels:\n")[1].split("block_latency")[0] == levels
+
+
 @pytest.mark.parametrize("runner", ["min-coloring", "batch"])
 def test_execute_raising_transaction_exits_4(chain_file, capsys, monkeypatch, runner):
     inject_tx_failure(monkeypatch, bad_id=2)

@@ -169,6 +169,17 @@ def test_make_runner_rejects_unknown_name():
         make_runner("nope")
 
 
+@pytest.mark.parametrize("name", RUNNER_NAMES)
+def test_unknown_color_order_is_rejected_before_the_ledger_is_touched(tmp_path, name):
+    ledger = tmp_path / "ledger"
+    blocks = gen_stream(stream_specs(3))
+    run_main_loop(make_runner("greedy"), blocks, EMPTY, ledger)
+    before = ledger.read_bytes()
+    with pytest.raises(ValidationError, match="unknown color order 'bogus'"):
+        run_main_loop(make_runner(name, color_order="bogus"), blocks, EMPTY, ledger)
+    assert ledger.read_bytes() == before
+
+
 def test_main_loop_runner_digests_agree(tmp_path):
     blocks = gen_commutative_stream(3, n=9, seed=8)
     digests = set()

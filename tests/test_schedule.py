@@ -22,6 +22,7 @@ from blocksched.schedule import (
     batch_to_graph,
     dump_levels,
     dump_schedule,
+    is_valid_batch_schedule,
     is_valid_schedule,
     latency,
     latency_stats,
@@ -164,14 +165,41 @@ def seeded_greedy_partitions(seed, n, density):
     return g, [partition_from_coloring(coloring), size_desc, reorder_partition(size_desc, perm)]
 
 
+def broken_partitions(part, g, rng):
+    """The partition with one vertex missing, with an out-of-range vertex, and
+    with two levels merged (an in-level conflict when the merged pair clashes)."""
+    levels = [list(level) for level in part]
+    if not levels:
+        return [[[g.n]]]
+    i = rng.randrange(len(levels))
+    dropped = levels[i][1:]
+    variants = [
+        levels[:i] + ([dropped] if dropped else []) + levels[i + 1 :],
+        levels[:-1] + [levels[-1] + [g.n]],
+    ]
+    if len(levels) >= 2:
+        a, b = rng.sample(range(len(levels)), 2)
+        variants.append([levels[a] + levels[b]] + [lv for i, lv in enumerate(levels) if i not in (a, b)])
+    return variants
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 100_000), n=st.integers(0, 150), density=st.sampled_from([1, 2, 4]))
 def test_level_schedule_matches_pair_scan(seed, n, density):
     g, partitions = seeded_greedy_partitions(seed, n, density)
+    rng = random.Random(seed)
     for part in partitions:
         s = level_schedule(part, g)
         assert s.edges == pair_scan_level_schedule(part, g)
         assert is_valid_schedule(s, g)
+        # the batch check accepts exactly the partitions level_schedule accepts
+        for candidate in [part] + broken_partitions(part, g, rng):
+            try:
+                level_schedule(candidate, g)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert is_valid_batch_schedule(BatchSchedule(candidate), g) == accepted
 
 
 @settings(max_examples=40, deadline=None)
