@@ -69,7 +69,8 @@ def _component_optimum(
         for u in g.neighbors[v]:
             adj[i] |= 1 << index[u]
     lens = [lengths[vertices[i]] for i in range(m)]
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    # normalized state -> (its optimum, the first level that reaches it)
+    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
 
     def step(
         mask: int, rd: dict[int, int], level_mask: int
@@ -100,34 +101,29 @@ def _component_optimum(
         key = (mask, ready)
         cached = memo.get(key)
         if cached is not None:
-            return cached + shift
+            return cached[0] + shift
         rd = dict(zip(_set_bits(mask), ready))
         best: int | None = None
         for level_mask in _independent_subsets(mask, adj):
             level_max, rest, new_ready = step(mask, rd, level_mask)
             val = max(level_max, solve(rest, new_ready))
             if best is None or val < best:
-                best = val
-        memo[key] = best
+                best, best_level = val, level_mask
+        memo[key] = (best, best_level)
         return best + shift
 
     full = (1 << m) - 1
     optimum = solve(full, (0,) * m)
 
-    # reconstruct the lex-first optimal partition by replaying greedy choices
+    # the lex-first optimal partition follows each state's first optimal level
     levels: list[tuple[int, ...]] = []
     mask, ready = full, (0,) * m
     while mask:
-        rd = dict(zip(_set_bits(mask), ready))
-        target = solve(mask, ready)
-        for level_mask in _independent_subsets(mask, adj):
-            level_max, rest, new_ready = step(mask, rd, level_mask)
-            if max(level_max, solve(rest, new_ready)) == target:
-                levels.append(tuple(vertices[v] for v in _set_bits(level_mask)))
-                mask, ready = rest, new_ready
-                break
-        else:  # pragma: no cover - solve() guarantees some level matches
-            raise AssertionError("no level reproduces the memoized optimum")
+        shift = min(ready)
+        ready = tuple(r - shift for r in ready)
+        level_mask = memo[(mask, ready)][1]
+        levels.append(tuple(vertices[v] for v in _set_bits(level_mask)))
+        _, mask, ready = step(mask, dict(zip(_set_bits(mask), ready)), level_mask)
     return optimum, tuple(levels)
 
 
@@ -532,17 +528,14 @@ def hetero_counterexample_search(
         chi = exact_min_coloring(g).k
         partitions = _min_color_partitions(g, chi, max_partitions)
 
-        lat_of: dict[tuple[int, tuple[int, ...]], int] = {}
         overall_min = None
         overall_max = None
         per_partition: list[tuple[int, int]] = []
-        for idx, partition in enumerate(partitions):
+        for partition in partitions:
             lats = []
             for perm in itertools.permutations(range(chi)):
                 ordered = tuple(partition[i] for i in perm)
-                lat = latency(level_schedule(ordered, g), length_map)
-                lats.append(lat)
-                lat_of[(idx, perm)] = lat
+                lats.append(latency(level_schedule(ordered, g), length_map))
             per_partition.append((min(lats), max(lats)))
             overall_min = min(lats) if overall_min is None else min(overall_min, min(lats))
             overall_max = max(lats) if overall_max is None else max(overall_max, max(lats))

@@ -45,7 +45,7 @@ def _load_state(path: str | None) -> GlobalState:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"state file: invalid JSON: {exc.msg}") from exc
-    if not isinstance(raw, dict) or not all(isinstance(v, int) for v in raw.values()):
+    if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
         raise ParseError("state file must be a JSON object mapping keys to integers")
     return GlobalState(raw)
 

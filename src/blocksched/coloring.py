@@ -2,9 +2,10 @@
 
 A coloring assigns each vertex a 1-based color so adjacent vertices differ;
 equivalently it is an ordered partition of the vertices into conflict-free
-sets. Exact searches are branch-and-bound with a fixed canonical exploration
-order (vertices by descending degree, colors ascending) so repeated runs
-produce identical color vectors. Tie-breaking is deterministic everywhere:
+sets. The minimal and the minimal weighted coloring share one branch and
+bound (the minimal coloring is the weighted one at unit lengths) with a fixed
+canonical exploration order (vertices by descending degree, colors ascending)
+so repeated runs produce identical color vectors. Tie-breaking is deterministic everywhere:
 descending degree first, then ascending id.
 """
 
@@ -93,72 +94,86 @@ def greedy_coloring(g: ConflictGraph, order: Sequence[int]) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def _greedy_clique_size(g: ConflictGraph, order: Sequence[int]) -> int:
-    clique_bits = 0
-    size = 0
-    for v in order:
-        if clique_bits & ~g.adj_bits[v] == 0:
-            clique_bits |= 1 << v
-            size += 1
-    return size
-
-
-def exact_min_coloring(g: ConflictGraph, cap: int = EXACT_COLORING_CAP) -> Coloring:
-    """A legal coloring using exactly the chromatic number of colors.
-
-    Branch and bound with a greedy upper bound and a greedy clique lower
-    bound; above ``cap`` vertices a CapacityError points at greedy_coloring.
-    """
-    if g.n > cap:
-        raise CapacityError(
-            f"exact coloring capped at {cap} vertices (graph has {g.n}); use greedy_coloring instead"
-        )
-    if g.n == 0:
-        return Coloring(())
-    order = descending_degree_order(g)
-    incumbent = list(greedy_coloring(g, order).colors)
-    best_k = max(incumbent)
-    lower = _greedy_clique_size(g, order)
-    if lower >= best_k:
-        return Coloring(tuple(incumbent))
-
-    colors = [0] * g.n
-    adj = g.adj_bits
-
-    def dfs(idx: int, used: int) -> None:
-        nonlocal best_k, incumbent
-        if used >= best_k:
-            return
-        if idx == g.n:
-            best_k = used
-            incumbent = colors.copy()
-            return
-        v = order[idx]
-        forbidden = set()
-        row = adj[v]
-        for u in order[:idx]:
-            if (row >> u) & 1:
-                forbidden.add(colors[u])
-        limit = min(used + 1, best_k - 1)
-        for c in range(1, limit + 1):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            dfs(idx + 1, max(used, c))
-            colors[v] = 0
-            if best_k <= max(lower, used):
-                return
-
-    dfs(0, 0)
-    return Coloring(tuple(incumbent))
-
-
-def coloring_weight(coloring: Coloring, lengths: Mapping[int, int]) -> int:
+def coloring_weight(coloring: Coloring, lengths: Mapping[int, int] | Sequence[int]) -> int:
     """Sum over colors of the longest member length."""
     maxima: dict[int, int] = {}
     for v, c in enumerate(coloring.colors):
         maxima[c] = max(maxima.get(c, 0), lengths[v])
     return sum(maxima.values())
+
+
+def _min_weight_search(g: ConflictGraph, lengths: Sequence[int]) -> Coloring:
+    """The first canonical coloring, in descending-degree order, of minimal
+    weight (sum over colors of the longest member).
+
+    Branch and bound from greedy's coloring, accepting only strictly lighter
+    colorings; greedy's is the first canonical coloring, so ties keep the
+    earliest. The lower bound is the length sum of a greedy clique. Each color
+    keeps a bitset of its members, so a color is free for ``v`` when
+    ``members[c] & adj[v]`` is zero.
+    """
+    order = descending_degree_order(g)
+    greedy = greedy_coloring(g, order)
+    best = coloring_weight(greedy, lengths)
+    adj = g.adj_bits
+    clique_bits = lower = 0
+    for v in order:
+        if clique_bits & ~adj[v] == 0:
+            clique_bits |= 1 << v
+            lower += lengths[v]
+    if lower >= best:
+        return greedy
+
+    incumbent = greedy.colors
+    colors = [0] * g.n
+    members: list[int] = []
+    longest: list[int] = []
+
+    def dfs(idx: int, weight: int) -> None:
+        nonlocal best, incumbent
+        if idx == g.n:
+            best = weight
+            incumbent = tuple(colors)
+            return
+        v = order[idx]
+        row = adj[v]
+        bit = 1 << v
+        lv = lengths[v]
+        for c in range(len(members)):
+            prev = longest[c]
+            grown = weight + lv - prev if lv > prev else weight
+            if members[c] & row or grown >= best:
+                continue
+            colors[v] = c + 1
+            members[c] |= bit
+            longest[c] = max(prev, lv)
+            dfs(idx + 1, grown)
+            members[c] ^= bit
+            longest[c] = prev
+            if best <= lower:
+                return
+        if weight + lv < best:
+            colors[v] = len(members) + 1
+            members.append(bit)
+            longest.append(lv)
+            dfs(idx + 1, weight + lv)
+            members.pop()
+            longest.pop()
+
+    dfs(0, 0)
+    return Coloring(incumbent)
+
+
+def exact_min_coloring(g: ConflictGraph, cap: int = EXACT_COLORING_CAP) -> Coloring:
+    """A legal coloring using exactly the chromatic number of colors: the
+    minimal weighted coloring at unit lengths. Above ``cap`` vertices a
+    CapacityError points at greedy_coloring.
+    """
+    if g.n > cap:
+        raise CapacityError(
+            f"exact coloring capped at {cap} vertices (graph has {g.n}); use greedy_coloring instead"
+        )
+    return _min_weight_search(g, [1] * g.n)
 
 
 def exact_min_weighted_coloring(
@@ -173,57 +188,10 @@ def exact_min_weighted_coloring(
         raise CapacityError(
             f"exact weighted coloring capped at {cap} vertices (graph has {g.n})"
         )
-    if g.n == 0:
-        return Coloring(())
     for v in range(g.n):
         if lengths[v] < 1:
             raise ValidationError(f"length of vertex {v} must be positive")
-    order = descending_degree_order(g)
-    bound = coloring_weight(greedy_coloring(g, order), {v: lengths[v] for v in range(g.n)})
-
-    best_weight = bound
-    incumbent: list[int] | None = None
-    colors = [0] * g.n
-    color_max: list[int] = []
-    adj = g.adj_bits
-
-    def dfs(idx: int, weight: int) -> None:
-        nonlocal best_weight, incumbent
-        if weight > best_weight or (weight == best_weight and incumbent is not None):
-            return
-        if idx == g.n:
-            # weight <= best_weight here; first hit at a value is lex-smallest
-            best_weight = weight
-            incumbent = colors.copy()
-            return
-        v = order[idx]
-        row = adj[v]
-        forbidden = set()
-        for u in order[:idx]:
-            if (row >> u) & 1:
-                forbidden.add(colors[u])
-        lv = lengths[v]
-        for c in range(1, len(color_max) + 2):
-            if c in forbidden:
-                continue
-            if c <= len(color_max):
-                prev = color_max[c - 1]
-                delta = lv - prev if lv > prev else 0
-                colors[v] = c
-                color_max[c - 1] = max(prev, lv)
-                dfs(idx + 1, weight + delta)
-                color_max[c - 1] = prev
-            else:
-                colors[v] = c
-                color_max.append(lv)
-                dfs(idx + 1, weight + lv)
-                color_max.pop()
-            colors[v] = 0
-
-    dfs(0, 0)
-    if incumbent is None:  # greedy bound was optimal and unmatched: cannot happen
-        incumbent = list(greedy_coloring(g, order).colors)
-    return Coloring(tuple(incumbent))
+    return _min_weight_search(g, [lengths[v] for v in range(g.n)])
 
 
 def convert_to_coloring(schedule: "GraphSchedule", g: ConflictGraph | None = None) -> Coloring:

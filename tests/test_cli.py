@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +168,16 @@ def test_execute_with_state_file(tmp_path, capsys):
     assert "y 41" in out
 
 
+@pytest.mark.parametrize("value", [True, False, 1.5, "3"])
+def test_execute_rejects_non_integer_state_values(chain_file, tmp_path, capsys, value):
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"x": value}))
+    code, out, err = run_cli(capsys, "execute", chain_file, "--state", str(spath))
+    assert code == 2
+    assert out == ""
+    assert err == "error: state file must be a JSON object mapping keys to integers\n"
+
+
 def test_smr_digests_agree_across_runners(tmp_path, capsys):
     stream = tmp_path / "stream.jsonl"
     write_stream_file(stream, gen_commutative_stream(4, n=8, seed=2))
@@ -219,6 +233,27 @@ def test_analyze_p_zero_and_reproducible(tmp_path, capsys):
         "--seed", "1", "--out", str(out_csv), "--workers", "2",
     )
     assert out_csv.read_bytes() == first
+
+
+def test_full_ratio_sweep_script_matches_analyze(tmp_path, capsys):
+    repo = Path(__file__).resolve().parents[1]
+    pythonpath = filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])
+    script_csv = tmp_path / "script.csv"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "full_ratio_sweep.py"), "--out", str(script_csv),
+         "--ns", "20,30", "--ps", "0.1", "--samples", "2", "--seed", "7"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"wrote 2 cells to {script_csv}" in proc.stdout
+    cli_csv = tmp_path / "cli.csv"
+    code, _, _ = run_cli(
+        capsys, "analyze", "--ns", "20,30", "--ps", "0.1", "--samples", "2",
+        "--seed", "7", "--out", str(cli_csv),
+    )
+    assert code == 0
+    assert script_csv.read_text() == cli_csv.read_text()
 
 
 def test_oracle_chain(chain_file, capsys):

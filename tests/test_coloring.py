@@ -1,4 +1,5 @@
 import random
+from typing import Mapping, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,10 @@ from blocksched.coloring import (
     is_legal,
     partition_from_coloring,
 )
-from blocksched.conflict import ConflictGraph
+from blocksched.conflict import ConflictGraph, build_conflict_graph
 from blocksched.errors import CapacityError, ValidationError
 from blocksched.schedule import GraphSchedule
+from blocksched.workload import WorkloadSpec, gen_block
 
 from conftest import (
     brute_chromatic,
@@ -120,6 +122,145 @@ def test_exact_never_beats_greedy(seed, n, p):
     order = list(range(n))
     rng.shuffle(order)
     assert exact_min_coloring(g).k <= greedy_coloring(g, order).k
+
+
+# The two searches that the shared minimal-weight search replaced, kept as
+# oracles: every color vector the ledgers depend on must stay the same.
+
+def _greedy_clique_size(g: ConflictGraph, order: Sequence[int]) -> int:
+    clique_bits = 0
+    size = 0
+    for v in order:
+        if clique_bits & ~g.adj_bits[v] == 0:
+            clique_bits |= 1 << v
+            size += 1
+    return size
+
+
+def oracle_min_coloring(g: ConflictGraph) -> Coloring:
+    if g.n == 0:
+        return Coloring(())
+    order = descending_degree_order(g)
+    incumbent = list(greedy_coloring(g, order).colors)
+    best_k = max(incumbent)
+    lower = _greedy_clique_size(g, order)
+    if lower >= best_k:
+        return Coloring(tuple(incumbent))
+
+    colors = [0] * g.n
+    adj = g.adj_bits
+
+    def dfs(idx: int, used: int) -> None:
+        nonlocal best_k, incumbent
+        if used >= best_k:
+            return
+        if idx == g.n:
+            best_k = used
+            incumbent = colors.copy()
+            return
+        v = order[idx]
+        forbidden = set()
+        row = adj[v]
+        for u in order[:idx]:
+            if (row >> u) & 1:
+                forbidden.add(colors[u])
+        limit = min(used + 1, best_k - 1)
+        for c in range(1, limit + 1):
+            if c in forbidden:
+                continue
+            colors[v] = c
+            dfs(idx + 1, max(used, c))
+            colors[v] = 0
+            if best_k <= max(lower, used):
+                return
+
+    dfs(0, 0)
+    return Coloring(tuple(incumbent))
+
+
+def oracle_min_weighted_coloring(g: ConflictGraph, lengths: Mapping[int, int]) -> Coloring:
+    if g.n == 0:
+        return Coloring(())
+    order = descending_degree_order(g)
+    bound = coloring_weight(greedy_coloring(g, order), {v: lengths[v] for v in range(g.n)})
+
+    best_weight = bound
+    incumbent: list[int] | None = None
+    colors = [0] * g.n
+    color_max: list[int] = []
+    adj = g.adj_bits
+
+    def dfs(idx: int, weight: int) -> None:
+        nonlocal best_weight, incumbent
+        if weight > best_weight or (weight == best_weight and incumbent is not None):
+            return
+        if idx == g.n:
+            # weight <= best_weight here; first hit at a value is lex-smallest
+            best_weight = weight
+            incumbent = colors.copy()
+            return
+        v = order[idx]
+        row = adj[v]
+        forbidden = set()
+        for u in order[:idx]:
+            if (row >> u) & 1:
+                forbidden.add(colors[u])
+        lv = lengths[v]
+        for c in range(1, len(color_max) + 2):
+            if c in forbidden:
+                continue
+            if c <= len(color_max):
+                prev = color_max[c - 1]
+                delta = lv - prev if lv > prev else 0
+                colors[v] = c
+                color_max[c - 1] = max(prev, lv)
+                dfs(idx + 1, weight + delta)
+                color_max[c - 1] = prev
+            else:
+                colors[v] = c
+                color_max.append(lv)
+                dfs(idx + 1, weight + lv)
+                color_max.pop()
+            colors[v] = 0
+
+    dfs(0, 0)
+    if incumbent is None:  # greedy bound was optimal and unmatched: cannot happen
+        incumbent = list(greedy_coloring(g, order).colors)
+    return Coloring(tuple(incumbent))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 22), p=st.floats(0.05, 0.9), seed=st.integers(0, 2**32))
+def test_exact_equals_oracle_on_gnp(n, p, seed):
+    g = gnp_graph(n, p, seed)
+    assert exact_min_coloring(g).colors == oracle_min_coloring(g).colors
+
+
+# n stays at 22: the oracles take tens of seconds on some 30-tx blocks
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 22), keys=st.integers(2, 16), seed=st.integers(0, 100_000))
+def test_exact_equals_oracle_on_blocks(n, keys, seed):
+    block = gen_block(WorkloadSpec(n_txs=n, key_universe=keys, length_mode="heterogeneous", seed=seed))
+    g = build_conflict_graph(block)
+    assert exact_min_coloring(g).colors == oracle_min_coloring(g).colors
+    if n <= 12:
+        lengths = {tx.id: tx.length for tx in block.txs}
+        weighted = exact_min_weighted_coloring(g, lengths)
+        assert weighted.colors == oracle_min_weighted_coloring(g, lengths).colors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    p=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32),
+    choices=st.sampled_from([(1,), (1, 2), (1, 10, 100, 1000)]),
+)
+def test_weighted_equals_oracle(n, p, seed, choices):
+    g = gnp_graph(n, p, seed)
+    rng = random.Random(seed)
+    lengths = {v: rng.choice(choices) for v in range(n)}
+    assert exact_min_weighted_coloring(g, lengths).colors == oracle_min_weighted_coloring(g, lengths).colors
 
 
 def test_weighted_edgeless_single_color():

@@ -203,6 +203,45 @@ def test_main_loop_replay_is_byte_identical(tmp_path):
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
+# Final record digest and state digest of each runner over a heterogeneous
+# 20-block stream. On this stream the exact search runs past the clique bound
+# on 14 blocks and the minimal coloring differs from greedy on 7, so a change
+# to either exact search's color vectors shows up here.
+GOLDEN_LEDGERS = {
+    "order": (
+        "c37a587f35be79af84b25128fe4a09bf0f91f9e8e13de4db535f0099bd122b70",
+        "4477ceb226c87277d479762613342d9914519fcdd90a56e2d521a37cd1836447",
+    ),
+    "greedy": (
+        "64a2a176f03e8abe948209666308755c6f223d4093174769f2734aa6aecce1c8",
+        "f8bcc2a4760ac7d96af418edb241123be1d07d76463269a6b81b83d4f70dbd4b",
+    ),
+    "min-coloring": (
+        "5f936703a8d3dff4c3620074ace4294459068b4077360419988e77480744db5f",
+        "32676978ff0010bdb2312db10c14fa74c3b742d81409199b49177435dacf6723",
+    ),
+    "weighted-coloring": (
+        "cb6dbbd7921a7bbb335ab136446957138b5e3e56910da2719de5639e169b8776",
+        "953acad49ca3ffd3801fa889c052e15ac453a6454f262351a12103aac0028167",
+    ),
+    "batch": (
+        "64a2a176f03e8abe948209666308755c6f223d4093174769f2734aa6aecce1c8",
+        "f8bcc2a4760ac7d96af418edb241123be1d07d76463269a6b81b83d4f70dbd4b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RUNNER_NAMES)
+def test_main_loop_golden_ledger(tmp_path, name):
+    blocks = gen_stream(
+        WorkloadSpec(n_txs=20, key_universe=8, length_mode="heterogeneous", seed=s)
+        for s in range(20)
+    )
+    final = run_main_loop(make_runner(name), blocks, EMPTY, tmp_path / "ledger")
+    record_digest = Ledger(tmp_path / "ledger").load()[-1].record_digest
+    assert (record_digest, final.digest()) == GOLDEN_LEDGERS[name]
+
+
 def test_main_loop_detects_seq_gap(tmp_path):
     blocks = gen_stream(stream_specs(2))
     broken = [blocks[0], Block(seq=5, prev_hash=block_hash(blocks[0]), txs=blocks[1].txs)]
