@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import analysis, coloring, workload
+from . import analysis, workload
 from .conflict import build_conflict_graph, dump_edges
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
 from .executor import _simulate_checked
@@ -64,18 +64,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
         help="order in which color classes become levels",
     )
     parser.add_argument(
-        "--exact-cap",
-        type=int,
-        default=coloring.EXACT_COLORING_CAP,
-        help="max block size for exact minimal coloring before greedy fallback",
-    )
-    parser.add_argument(
-        "--weighted-cap",
-        type=int,
-        default=coloring.EXACT_WEIGHTED_CAP,
-        help="max block size for exact weighted coloring before greedy fallback",
-    )
-    parser.add_argument(
         "--treat-epsilon-homogeneous",
         type=int,
         default=None,
@@ -88,8 +76,6 @@ def _runner(args):
     return make_runner(
         args.runner,
         color_order=args.color_order,
-        exact_cap=args.exact_cap,
-        weighted_cap=args.weighted_cap,
         epsilon_cutoff=args.treat_epsilon_homogeneous,
     )
 
@@ -173,11 +159,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_oracle(args) -> int:
     block = read_block_file(args.block_file)
+    # first and under its own smaller cap: it enumerates every order of the block
+    other = analysis.optimal_latency_all_orientations(block) if args.double_check else None
     witness, best = analysis.optimal_schedule_oracle(block, cap=args.cap)
-    if args.double_check:
-        other = analysis.optimal_latency_all_orientations(block, cap=args.cap)
-        if other != best:
-            raise InvariantError(f"oracles disagree: partitions {best}, orientations {other}")
+    if other is not None and other != best:
+        raise InvariantError(f"oracles disagree: partitions {best}, orientations {other}")
     print(f"optimal_latency {best}")
     print(dump_schedule(witness), end="")
     return EXIT_OK
@@ -215,6 +201,8 @@ def cmd_gen_block(args) -> int:
 
 
 def cmd_gen_stream(args) -> int:
+    if args.blocks < 0:
+        raise ValidationError("--blocks must be non-negative")
     specs = [_spec_from_args(args, args.seed + i) for i in range(args.blocks)]
     blocks = workload.gen_stream(specs)
     write_stream_file(args.out, blocks)

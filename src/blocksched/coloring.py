@@ -7,6 +7,8 @@ bound (the minimal coloring is the weighted one at unit lengths) with a fixed
 canonical exploration order (vertices by descending degree, colors ascending)
 so repeated runs produce identical color vectors. Tie-breaking is deterministic everywhere:
 descending degree first, then ascending id.
+The exact search is bounded by fixed constants only, a vertex cap and a count
+of search work (never time), so every replica falls back on the same graphs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 EXACT_COLORING_CAP = 64
 EXACT_WEIGHTED_CAP = 20
+# one unit per color tried at a vertex, the new-color branch included
+EXACT_SEARCH_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,14 @@ def coloring_weight(coloring: Coloring, lengths: Mapping[int, int] | Sequence[in
     return sum(maxima.values())
 
 
+def _check_lengths(lengths: Mapping[int, int], n: int) -> None:
+    for v in range(n):
+        if v not in lengths:
+            raise ValidationError(f"missing length for vertex {v}")
+        if lengths[v] < 1:
+            raise ValidationError(f"length of vertex {v} must be positive")
+
+
 def _min_weight_search(g: ConflictGraph, lengths: Sequence[int]) -> Coloring:
     """The first canonical coloring, in descending-degree order, of minimal
     weight (sum over colors of the longest member).
@@ -110,7 +122,8 @@ def _min_weight_search(g: ConflictGraph, lengths: Sequence[int]) -> Coloring:
     colorings; greedy's is the first canonical coloring, so ties keep the
     earliest. The lower bound is the length sum of a greedy clique. Each color
     keeps a bitset of its members, so a color is free for ``v`` when
-    ``members[c] & adj[v]`` is zero.
+    ``members[c] & adj[v]`` is zero. A search that would try more than
+    ``EXACT_SEARCH_BUDGET`` colors raises CapacityError.
     """
     order = descending_degree_order(g)
     greedy = greedy_coloring(g, order)
@@ -128,13 +141,17 @@ def _min_weight_search(g: ConflictGraph, lengths: Sequence[int]) -> Coloring:
     colors = [0] * g.n
     members: list[int] = []
     longest: list[int] = []
+    budget = EXACT_SEARCH_BUDGET
 
     def dfs(idx: int, weight: int) -> None:
-        nonlocal best, incumbent
+        nonlocal best, incumbent, budget
         if idx == g.n:
             best = weight
             incumbent = tuple(colors)
             return
+        budget -= len(members) + 1
+        if budget < 0:
+            raise CapacityError(f"exact coloring search exceeded {EXACT_SEARCH_BUDGET} units")
         v = order[idx]
         row = adj[v]
         bit = 1 << v
@@ -164,11 +181,12 @@ def _min_weight_search(g: ConflictGraph, lengths: Sequence[int]) -> Coloring:
     return Coloring(incumbent)
 
 
-def exact_min_coloring(g: ConflictGraph, cap: int = EXACT_COLORING_CAP) -> Coloring:
+def exact_min_coloring(g: ConflictGraph) -> Coloring:
     """A legal coloring using exactly the chromatic number of colors: the
-    minimal weighted coloring at unit lengths. Above ``cap`` vertices a
-    CapacityError points at greedy_coloring.
+    minimal weighted coloring at unit lengths. Above ``EXACT_COLORING_CAP``
+    vertices or the search budget a CapacityError points at greedy_coloring.
     """
+    cap = EXACT_COLORING_CAP
     if g.n > cap:
         raise CapacityError(
             f"exact coloring capped at {cap} vertices (graph has {g.n}); use greedy_coloring instead"
@@ -176,21 +194,19 @@ def exact_min_coloring(g: ConflictGraph, cap: int = EXACT_COLORING_CAP) -> Color
     return _min_weight_search(g, [1] * g.n)
 
 
-def exact_min_weighted_coloring(
-    g: ConflictGraph, lengths: Mapping[int, int], cap: int = EXACT_WEIGHTED_CAP
-) -> Coloring:
+def exact_min_weighted_coloring(g: ConflictGraph, lengths: Mapping[int, int]) -> Coloring:
     """A legal coloring minimizing the sum over colors of the max member length.
 
     Among optima, returns the lexicographically smallest color vector under
-    the descending-degree vertex order.
+    the descending-degree vertex order. Above ``EXACT_WEIGHTED_CAP`` vertices
+    or the search budget it raises CapacityError.
     """
+    cap = EXACT_WEIGHTED_CAP
     if g.n > cap:
         raise CapacityError(
             f"exact weighted coloring capped at {cap} vertices (graph has {g.n})"
         )
-    for v in range(g.n):
-        if lengths[v] < 1:
-            raise ValidationError(f"length of vertex {v} must be positive")
+    _check_lengths(lengths, g.n)
     return _min_weight_search(g, [lengths[v] for v in range(g.n)])
 
 

@@ -24,8 +24,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
 
 from .coloring import (
-    EXACT_COLORING_CAP,
-    EXACT_WEIGHTED_CAP,
     Coloring,
     descending_degree_order,
     exact_min_coloring,
@@ -98,15 +96,15 @@ def _greedy_step(runner, txs, g):
 
 
 def _min_coloring_step(runner, txs, g):
-    """Exact minimal coloring, greedy above the exact cap."""
+    """Exact minimal coloring, greedy above its vertex cap or work budget."""
     try:
-        return exact_min_coloring(g, cap=runner.exact_cap), "exact", True
+        return exact_min_coloring(g), "exact", True
     except CapacityError:
         return greedy_coloring(g, descending_degree_order(g)), "exact", False
 
 
 def _weighted_coloring_step(runner, txs, g):
-    """Exact minimal weighted coloring, greedy above the weighted cap.
+    """Exact minimal weighted coloring, greedy above its cap or work budget.
 
     With ``epsilon_cutoff`` set, a block whose length spread is within the
     cutoff is treated as homogeneous and colored unweighted.
@@ -115,8 +113,8 @@ def _weighted_coloring_step(runner, txs, g):
     spread = max(lengths.values()) - min(lengths.values()) if lengths else 0
     try:
         if runner.epsilon_cutoff is not None and spread <= runner.epsilon_cutoff:
-            return exact_min_coloring(g, cap=runner.weighted_cap), "exact", True
-        coloring = exact_min_weighted_coloring(g, lengths, cap=runner.weighted_cap)
+            return exact_min_coloring(g), "exact", True
+        coloring = exact_min_weighted_coloring(g, lengths)
         return coloring, "weighted-exact", True
     except CapacityError:
         return greedy_coloring(g, descending_degree_order(g)), "weighted-exact", False
@@ -142,8 +140,6 @@ class BlockRunner:
 
     name: str = "order"
     color_order: str = "size-desc"
-    exact_cap: int = EXACT_COLORING_CAP
-    weighted_cap: int = EXACT_WEIGHTED_CAP
     epsilon_cutoff: int | None = None
 
     def __post_init__(self) -> None:
@@ -192,11 +188,9 @@ def make_runner(
     name: str,
     *,
     color_order: str = "size-desc",
-    exact_cap: int = EXACT_COLORING_CAP,
-    weighted_cap: int = EXACT_WEIGHTED_CAP,
     epsilon_cutoff: int | None = None,
 ) -> BlockRunner:
-    return BlockRunner(name, color_order, exact_cap, weighted_cap, epsilon_cutoff)
+    return BlockRunner(name, color_order, epsilon_cutoff)
 
 
 def plan_block(runner: BlockRunner, block: Block) -> GraphPlan | BatchPlan:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .coloring import Coloring
+from .coloring import Coloring, _check_lengths
 from .conflict import ConflictGraph
 from .errors import ValidationError
 from .model import Block, Transaction
@@ -129,14 +129,6 @@ class LatencyReport:
     per_tx_finish: dict[int, int]
     mean_latency: float
     p95_latency: int
-
-
-def _check_lengths(lengths: Mapping[int, int], n: int) -> None:
-    for v in range(n):
-        if v not in lengths:
-            raise ValidationError(f"missing length for vertex {v}")
-        if lengths[v] < 1:
-            raise ValidationError(f"length of vertex {v} must be positive")
 
 
 def is_valid_schedule(s: GraphSchedule, g: ConflictGraph) -> bool:

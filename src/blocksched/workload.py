@@ -202,6 +202,8 @@ def chain_block(n: int, *, length: int = 1, seq: int = 0, prev_hash: bytes = b""
     Consecutive transactions share a key, so the conflict graph is a path and
     the consensus list order forces a fully sequential baseline schedule.
     """
+    if n < 0:
+        raise ValidationError("n must be non-negative")
     txs = []
     for i in range(n):
         keys = frozenset({f"x{i}", f"x{i + 1}"})

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from blocksched import cli, executor, replication
 from blocksched.cli import main
+from blocksched.errors import ValidationError
 from blocksched.model import block_to_obj, write_block_file, write_stream_file
 from blocksched.replication import BUILTIN_RUNNERS
 from blocksched.workload import WorkloadSpec, chain_block, gen_commutative_stream, gen_stream
@@ -97,26 +99,54 @@ def test_execute_trace_has_one_interval_per_transaction(chain_file, capsys, runn
     assert sorted(int(line.split()[0]) for line in intervals) == list(range(6))
 
 
+EXACT_FALLBACK_NOTE = "note: exact coloring above cap, fell back to greedy"
+
+
+# chains of 20, 25 and 65 transactions: within both vertex caps, above the
+# weighted cap (20) only, above the unweighted cap (64) too
 @pytest.mark.parametrize(
     "flags, noted",
     [
-        (["--runner", "min-coloring"], False),
-        (["--runner", "min-coloring", "--exact-cap", "4"], True),
-        (["--runner", "weighted-coloring", "--weighted-cap", "25"], False),
-        (["--runner", "weighted-coloring"], True),
-        (["--runner", "weighted-coloring", "--weighted-cap", "4", "--treat-epsilon-homogeneous", "0"], True),
-        (["--runner", "greedy"], False),
-        (["--runner", "batch"], False),
-        (["--runner", "order"], False),
+        (["chain25.json", "--runner", "min-coloring"], False),
+        (["chain65.json", "--runner", "min-coloring"], True),
+        (["chain20.json", "--runner", "weighted-coloring"], False),
+        (["chain25.json", "--runner", "weighted-coloring"], True),
+        (["chain65.json", "--runner", "weighted-coloring", "--treat-epsilon-homogeneous", "0"], True),
+        (["chain65.json", "--runner", "greedy"], False),
+        (["chain65.json", "--runner", "batch"], False),
+        (["chain65.json", "--runner", "order"], False),
+        (["chain25.json", "--runner", "weighted-coloring", "--treat-epsilon-homogeneous", "0"], False),
     ],
 )
-def test_schedule_notes_every_exact_fallback(tmp_path, capsys, flags, noted):
-    path = tmp_path / "chain25.json"
-    write_block_file(path, chain_block(25))
-    code, out, _ = run_cli(capsys, "schedule", str(path), *flags)
+def test_schedule_notes_every_exact_fallback(tmp_path, monkeypatch, capsys, flags, noted):
+    monkeypatch.chdir(tmp_path)
+    for n in (20, 25, 65):
+        write_block_file(f"chain{n}.json", chain_block(n))
+    code, out, _ = run_cli(capsys, "schedule", *flags)
     assert code == 0
-    note = "note: exact coloring above cap, fell back to greedy"
-    assert (out.splitlines()[0] == note) is noted
+    assert (out.splitlines()[0] == EXACT_FALLBACK_NOTE) is noted
+
+
+def test_schedule_notes_a_search_over_its_work_budget(tmp_path, capsys):
+    # 60 transactions over 16 keys: within the vertex cap, but the exact
+    # search stops at its work budget and the runner falls back to greedy
+    path = str(tmp_path / "b60.json")
+    assert run_cli(capsys, "gen-block", "--out", path, "--n", "60", "--seed", "1")[0] == 0
+    code, out, _ = run_cli(capsys, "schedule", path, "--runner", "min-coloring")
+    assert code == 0
+    assert out.splitlines()[0] == EXACT_FALLBACK_NOTE
+    _, greedy_out, _ = run_cli(capsys, "schedule", path, "--runner", "greedy")
+    assert out.splitlines()[1:] == greedy_out.splitlines()
+
+
+@pytest.mark.parametrize("flag", ["--exact-cap", "--weighted-cap"])
+def test_coloring_caps_are_not_options(tmp_path, capsys, flag):
+    path = tmp_path / "chain.json"
+    write_block_file(path, chain_block(3))
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", str(path), flag, "4"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("runner", ["min-coloring", "greedy", "batch"])
@@ -271,6 +301,16 @@ def test_oracle_triangle(tmp_path, capsys):
     assert "optimal_latency 3" in out
 
 
+def test_oracle_double_check_keeps_its_own_cap(tmp_path, capsys):
+    # ten transactions are within the partition oracle's cap but above the
+    # orientation oracle's, which would otherwise enumerate 10! orders
+    path = tmp_path / "chain10.json"
+    write_block_file(path, chain_block(10))
+    code, _, err = run_cli(capsys, "oracle", str(path), "--double-check")
+    assert code == 3
+    assert "orientation oracle capped at 8 transactions (block has 10)" in err
+
+
 def test_oracle_capacity_exit_code(tmp_path, capsys):
     path = tmp_path / "big.json"
     write_block_file(path, chain_block(12))
@@ -379,3 +419,41 @@ def test_gen_block_chain_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", str(out_file))
     assert code == 0
     assert "optimal_latency 2" in out
+
+
+def test_chain_block_rejects_a_negative_count():
+    with pytest.raises(ValidationError, match="n must be non-negative"):
+        chain_block(-1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen-block", "--chain", "--n", "-1"], "n must be non-negative"),
+        (["gen-block", "--n", "-1"], "n_txs must be non-negative"),
+        (["gen-stream", "--blocks", "-2"], "--blocks must be non-negative"),
+    ],
+)
+def test_generators_reject_negative_counts(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [line for line in lines if line.startswith("blocksched ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from blocksched.analysis import gnp_graph
 from blocksched.coloring import (
+    EXACT_COLORING_CAP,
+    EXACT_WEIGHTED_CAP,
     Coloring,
     assert_legal,
     coloring_weight,
@@ -93,10 +95,41 @@ def test_exact_path_is_two_and_clique_is_n():
     assert exact_min_coloring(complete_graph(4)).k == 4
 
 
-def test_exact_cap_raises_capacity_error():
-    g = ConflictGraph(n=5, edges=frozenset())
+def test_exact_cap_raises_capacity_error(monkeypatch):
+    g = ConflictGraph(n=EXACT_COLORING_CAP + 1, edges=frozenset())
+    with pytest.raises(CapacityError, match=f"capped at {EXACT_COLORING_CAP} vertices"):
+        exact_min_coloring(g)
+    assert exact_min_coloring(ConflictGraph(n=EXACT_COLORING_CAP, edges=frozenset())).k == 1
+    monkeypatch.setattr("blocksched.coloring.EXACT_COLORING_CAP", 4)
+    with pytest.raises(CapacityError, match="capped at 4 vertices"):
+        exact_min_coloring(path_graph(5))
+
+
+def five_cycle():
+    return ConflictGraph(n=5, edges=frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
+
+
+def test_search_budget_counts_each_color_tried(monkeypatch):
+    # greedy colors the 5-cycle with 3 colors and its clique bound is 2, so
+    # the search tries to 2-color it: the DFS nodes at vertices 0..4 try
+    # 1, 2, 3, 3 and 3 colors (the new-color branch included), 12 units
+    monkeypatch.setattr("blocksched.coloring.EXACT_SEARCH_BUDGET", 12)
+    assert exact_min_coloring(five_cycle()).k == 3
+    monkeypatch.setattr("blocksched.coloring.EXACT_SEARCH_BUDGET", 11)
+    with pytest.raises(CapacityError, match="exceeded 11 units"):
+        exact_min_coloring(five_cycle())
+    with pytest.raises(CapacityError, match="exceeded 11 units"):
+        exact_min_weighted_coloring(five_cycle(), {v: 1 for v in range(5)})
+
+
+def test_search_budget_spares_a_graph_whose_clique_proves_greedy(monkeypatch):
+    monkeypatch.setattr("blocksched.coloring.EXACT_SEARCH_BUDGET", 0)
+    block = gen_block(WorkloadSpec(n_txs=12, key_universe=4, seed=3))
+    g = build_conflict_graph(block)
+    # no DFS: greedy's clique is as large as greedy's color count
+    assert exact_min_coloring(g) == greedy_coloring(g, descending_degree_order(g))
     with pytest.raises(CapacityError):
-        exact_min_coloring(g, cap=4)
+        exact_min_coloring(five_cycle())
 
 
 def test_exact_is_deterministic():
@@ -300,10 +333,21 @@ def test_weighted_matches_exhaustive_partitions(seed):
     assert coloring_weight(coloring, lengths) == brute_min_weighted_partition(g, lengths)
 
 
-def test_weighted_cap_raises():
-    g = ConflictGraph(n=3, edges=frozenset())
-    with pytest.raises(CapacityError):
-        exact_min_weighted_coloring(g, {0: 1, 1: 1, 2: 1}, cap=2)
+def test_weighted_cap_raises(monkeypatch):
+    n = EXACT_WEIGHTED_CAP + 1
+    with pytest.raises(CapacityError, match=f"capped at {EXACT_WEIGHTED_CAP} vertices"):
+        exact_min_weighted_coloring(ConflictGraph(n=n, edges=frozenset()), {v: 1 for v in range(n)})
+    monkeypatch.setattr("blocksched.coloring.EXACT_WEIGHTED_CAP", 2)
+    with pytest.raises(CapacityError, match="capped at 2 vertices"):
+        exact_min_weighted_coloring(ConflictGraph(n=3, edges=frozenset()), {0: 1, 1: 1, 2: 1})
+
+
+def test_weighted_rejects_a_missing_length():
+    g = path_graph(2)
+    with pytest.raises(ValidationError, match="^missing length for vertex 1$"):
+        exact_min_weighted_coloring(g, {0: 1})
+    with pytest.raises(ValidationError, match="^length of vertex 0 must be positive$"):
+        exact_min_weighted_coloring(g, {0: 0, 1: 1})
 
 
 def test_weighted_is_deterministic():

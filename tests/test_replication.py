@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from blocksched import replication
+from blocksched.coloring import EXACT_COLORING_CAP, EXACT_WEIGHTED_CAP
 from blocksched.conflict import build_conflict_graph
 from blocksched.errors import InvariantError, ParseError, ValidationError
 from blocksched.executor import MAX_WORKERS, execute_sequential, simulate_execution
@@ -15,6 +16,7 @@ from blocksched.replication import (
     Ledger,
     TxError,
     make_runner,
+    plan_block,
     process_block,
     results_digest,
     run_main_loop,
@@ -92,13 +94,11 @@ def test_process_block_rejects_misbehaving_runner():
 
 
 def test_min_coloring_runner_falls_back_above_cap():
-    runner = make_runner("min-coloring", exact_cap=3)
-    block = chain_block(5)
-    g = build_conflict_graph(block)
-    plan = runner.make_schedule(block.txs, g)
-    assert plan.exact is False
-    small = make_runner("min-coloring", exact_cap=16).make_schedule(block.txs, g)
-    assert small.exact is True
+    runner = make_runner("min-coloring")
+    for n, exact in ((EXACT_COLORING_CAP + 1, False), (EXACT_COLORING_CAP, True)):
+        block = chain_block(n)
+        plan = runner.make_schedule(block.txs, build_conflict_graph(block))
+        assert plan.exact is exact
 
 
 @pytest.mark.parametrize("name", ["order", "greedy", "batch"])
@@ -151,10 +151,36 @@ def test_weighted_runner_epsilon_cutoff_switches_to_unweighted():
 
 
 def test_weighted_runner_falls_back_above_cap():
-    block = chain_block(6)
-    g = build_conflict_graph(block)
-    plan = make_runner("weighted-coloring", weighted_cap=4).make_schedule(block.txs, g)
-    assert plan.exact is False
+    runner = make_runner("weighted-coloring")
+    for n, exact in ((EXACT_WEIGHTED_CAP + 1, False), (EXACT_WEIGHTED_CAP, True)):
+        block = chain_block(n)
+        plan = runner.make_schedule(block.txs, build_conflict_graph(block))
+        assert plan.exact is exact
+
+
+def test_epsilon_branch_has_the_unweighted_cap():
+    # a block within the spread cutoff is colored by exact_min_coloring, so
+    # it falls back only above that function's cap, not the weighted one
+    runner = make_runner("weighted-coloring", epsilon_cutoff=0)
+    block = chain_block(EXACT_WEIGHTED_CAP + 1)
+    plan = runner.make_schedule(block.txs, build_conflict_graph(block))
+    assert (plan.coloring_mode, plan.exact) == ("exact", True)
+    block = chain_block(EXACT_COLORING_CAP + 1)
+    assert runner.make_schedule(block.txs, build_conflict_graph(block)).exact is False
+
+
+# 267 conflict edges; greedy's 12 colors are optimal, but proving it takes the
+# exact search more than EXACT_SEARCH_BUDGET units
+OVER_BUDGET_SPEC = WorkloadSpec(n_txs=34, key_universe=8, seed=29)
+
+
+def test_min_coloring_falls_back_to_greedy_over_the_search_budget():
+    block = gen_block(OVER_BUDGET_SPEC)
+    runner = make_runner("min-coloring")
+    first = plan_block(runner, block)
+    assert (first.coloring_mode, first.exact) == ("exact", False)
+    assert first.levels == plan_block(make_runner("greedy"), block).levels
+    assert plan_block(runner, block) == first
 
 
 def test_batch_runner_matches_greedy_runner_state():
@@ -443,21 +469,29 @@ GREEDY = {"descending_degree_order", "greedy_coloring"}
 LEVELS = {"level_schedule", "is_valid_schedule", "GraphExecutionHandle"}
 
 
+# upper-case options are coloring constants, patched for the run; the others
+# are make_runner keywords
 @pytest.mark.parametrize(
     "name, options, reached",
     [
         ("order", {}, {"total_order_schedule", "is_valid_schedule", "GraphExecutionHandle"}),
         ("greedy", {}, GREEDY | LEVELS),
         ("min-coloring", {}, {"exact_min_coloring"} | LEVELS),
-        ("min-coloring", {"exact_cap": 2}, {"exact_min_coloring"} | GREEDY | LEVELS),
+        ("min-coloring", {"EXACT_COLORING_CAP": 2}, {"exact_min_coloring"} | GREEDY | LEVELS),
         ("weighted-coloring", {}, LEVELS),
         ("weighted-coloring", {"epsilon_cutoff": 10**6}, {"exact_min_coloring"} | LEVELS),
-        ("weighted-coloring", {"weighted_cap": 2}, GREEDY | LEVELS),
+        ("weighted-coloring", {"EXACT_WEIGHTED_CAP": 2}, GREEDY | LEVELS),
         ("batch", {}, GREEDY | {"BatchExecutionHandle"}),
     ],
 )
 def test_runners_call_the_traced_module_globals(monkeypatch, tmp_path, name, options, reached):
     calls = Counter()
+    kwargs = {}
+    for key, value in options.items():
+        if key.isupper():
+            monkeypatch.setattr(f"blocksched.coloring.{key}", value)
+        else:
+            kwargs[key] = value
 
     def counting(attr, original):
         if isinstance(original, type):
@@ -477,6 +511,6 @@ def test_runners_call_the_traced_module_globals(monkeypatch, tmp_path, name, opt
     for attr in TRACED_GLOBALS:
         monkeypatch.setattr(replication, attr, counting(attr, getattr(replication, attr)))
     blocks = gen_stream(stream_specs(2))
-    run_main_loop(make_runner(name, **options), blocks, EMPTY, tmp_path / "ledger")
+    run_main_loop(make_runner(name, **kwargs), blocks, EMPTY, tmp_path / "ledger")
     assert set(calls) == reached | {"build_conflict_graph", "block_hash"}
     assert all(count == len(blocks) for count in calls.values()), calls
