@@ -30,8 +30,13 @@ from .model import Block, block_to_text, stable_seed
 from .schedule import GraphSchedule, _set_bits, latency, level_schedule
 from .workload import block_from_graph, gnp_edges
 
+# Bounds of the exhaustive searches, read when each search is called.
 ORACLE_CAP = 10
 FULL_DAG_ORACLE_CAP = 8
+# hetero_counterexample_search: minimal colorings examined per trial, and the
+# transaction lengths it draws from
+MAX_PARTITIONS = 2000
+LENGTH_CHOICES = (1, 2, 5, 10, 100, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +132,7 @@ def _component_optimum(
     return optimum, tuple(levels)
 
 
-def optimal_schedule_oracle(block: Block, cap: int = ORACLE_CAP) -> tuple[GraphSchedule, int]:
+def optimal_schedule_oracle(block: Block) -> tuple[GraphSchedule, int]:
     """Exhaustive minimum-latency search; returns a witness level schedule.
 
     Complete because level schedules dominate all valid schedules. Searches
@@ -139,8 +144,8 @@ def optimal_schedule_oracle(block: Block, cap: int = ORACLE_CAP) -> tuple[GraphS
     """
     g = build_conflict_graph(block)
     n = g.n
-    if n > cap:
-        raise CapacityError(f"oracle capped at {cap} transactions (block has {n})")
+    if n > ORACLE_CAP:
+        raise CapacityError(f"oracle capped at {ORACLE_CAP} transactions (block has {n})")
     lengths = {tx.id: tx.length for tx in block.txs}
     if n == 0:
         return GraphSchedule(0, frozenset()), 0
@@ -180,14 +185,16 @@ def optimal_schedule_oracle(block: Block, cap: int = ORACLE_CAP) -> tuple[GraphS
     return witness, best_val
 
 
-def optimal_latency_all_orientations(block: Block, cap: int = FULL_DAG_ORACLE_CAP) -> int:
+def optimal_latency_all_orientations(block: Block) -> int:
     """Slow second oracle: minimum latency over all acyclic orientations of
     the conflict graph. Every valid schedule is dominated by the orientation
     it induces, and every orientation is itself a valid schedule."""
     g = build_conflict_graph(block)
     n = g.n
-    if n > cap:
-        raise CapacityError(f"orientation oracle capped at {cap} transactions (block has {n})")
+    if n > FULL_DAG_ORACLE_CAP:
+        raise CapacityError(
+            f"orientation oracle capped at {FULL_DAG_ORACLE_CAP} transactions (block has {n})"
+        )
     lengths = [tx.length for tx in sorted(block.txs, key=lambda t: t.id)]
     if n == 0:
         return 0
@@ -320,10 +327,16 @@ def est_longest_path(g: ConflictGraph, order: Sequence[int] | None = None) -> in
     return max(lengths, default=0)
 
 
-def gnp_graph(n: int, p: float, seed: int) -> ConflictGraph:
-    """Seeded Erdos-Renyi style graph: each pair is an edge with probability p."""
+def _check_gnp(n: int, p: float) -> None:
+    if n < 0:
+        raise ValidationError("n must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValidationError("p must be in [0, 1]")
+
+
+def gnp_graph(n: int, p: float, seed: int) -> ConflictGraph:
+    """Seeded Erdos-Renyi style graph: each pair is an edge with probability p."""
+    _check_gnp(n, p)
     return _trusted_graph(n, gnp_edges(random.Random(seed), n, p))
 
 
@@ -382,6 +395,38 @@ def _study_cell(args: tuple[int, float, int, int, str]) -> StudyCell:
     )
 
 
+def iter_study(
+    ns: Sequence[int],
+    ps: Sequence[float],
+    samples: int,
+    seed: int,
+    *,
+    order_mode: str = "id",
+    workers: int = 1,
+) -> Iterator[StudyCell]:
+    """:func:`vulnerability_study`'s cells, each yielded once it and every
+    cell before it are done; the arguments are checked before any cell runs."""
+    if samples < 1:
+        raise ValidationError("samples must be >= 1")
+    if workers < 1:
+        raise ValidationError("workers must be >= 1")
+    if order_mode not in ("id", "random"):
+        raise ValidationError("order_mode must be 'id' or 'random'")
+    cells = [(n, p, samples, seed, order_mode) for n in ns for p in ps]
+    for n, p, *_ in cells:
+        _check_gnp(n, p)
+    if workers == 1:
+        return map(_study_cell, cells)
+    return _pooled_cells(cells, workers)
+
+
+def _pooled_cells(cells: list[tuple], workers: int) -> Iterator[StudyCell]:
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_study_cell, cells)
+
+
 def vulnerability_study(
     ns: Sequence[int],
     ps: Sequence[float],
@@ -396,27 +441,21 @@ def vulnerability_study(
     Per-cell seeds derive from (seed, n, p), so serial and parallel runs emit
     identical results in the same deterministic (n, p) order.
     """
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    if order_mode not in ("id", "random"):
-        raise ValidationError("order_mode must be 'id' or 'random'")
-    cells = [(n, p, samples, seed, order_mode) for n in ns for p in ps]
-    if workers <= 1:
-        return [_study_cell(cell) for cell in cells]
-    from concurrent.futures import ProcessPoolExecutor
+    return list(iter_study(ns, ps, samples, seed, order_mode=order_mode, workers=workers))
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_study_cell, cells))
+
+STUDY_CSV_HEADER = "n,p,samples,mean_ratio,min_ratio,max_ratio,seed"
+
+
+def study_csv_row(cell: StudyCell) -> str:
+    return (
+        f"{cell.n},{cell.p},{cell.samples},{cell.mean_ratio!r},"
+        f"{cell.min_ratio!r},{cell.max_ratio!r},{cell.seed}"
+    )
 
 
 def study_to_csv(cells: Iterable[StudyCell]) -> str:
-    lines = ["n,p,samples,mean_ratio,min_ratio,max_ratio,seed"]
-    for cell in cells:
-        lines.append(
-            f"{cell.n},{cell.p},{cell.samples},{cell.mean_ratio!r},"
-            f"{cell.min_ratio!r},{cell.max_ratio!r},{cell.seed}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(f"{line}\n" for line in (STUDY_CSV_HEADER, *map(study_csv_row, cells)))
 
 
 def concurrency_level_floor(chain_len: int, min_phases: int) -> int:
@@ -490,10 +529,7 @@ def hetero_counterexample_search(
     seed: int = 0,
     *,
     homogeneous: bool = False,
-    length_choices: tuple[int, ...] = (1, 2, 5, 10, 100, 1000),
-    oracle_cap: int = ORACLE_CAP,
     stop_when: frozenset[str] | None = frozenset({"a", "c"}),
-    max_partitions: int = 2000,
 ) -> CounterexampleReport:
     """Random search for scheduling phenomena on small blocks.
 
@@ -507,8 +543,8 @@ def hetero_counterexample_search(
     error. With ``homogeneous`` all lengths are 1, which serves as the
     control: no (a)-style gap can exist there.
     """
-    if n_max > oracle_cap:
-        raise CapacityError(f"n_max={n_max} exceeds the oracle cap {oracle_cap}")
+    if n_max > ORACLE_CAP:
+        raise CapacityError(f"n_max={n_max} exceeds the oracle cap {ORACLE_CAP}")
     report = CounterexampleReport()
     for trial in range(trials):
         report.trials_run = trial + 1
@@ -522,11 +558,11 @@ def hetero_counterexample_search(
         if homogeneous:
             lengths = [1] * n
         else:
-            lengths = [rng.choice(length_choices) for _ in range(n)]
+            lengths = [rng.choice(LENGTH_CHOICES) for _ in range(n)]
         block = block_from_graph(g, lengths)
         length_map = {v: lengths[v] for v in range(n)}
         chi = exact_min_coloring(g).k
-        partitions = _min_color_partitions(g, chi, max_partitions)
+        partitions = _min_color_partitions(g, chi, MAX_PARTITIONS)
 
         overall_min = None
         overall_max = None
@@ -558,7 +594,7 @@ def hetero_counterexample_search(
             "b" not in report.witnesses or "c" not in report.witnesses
         )
         if needs_oracle:
-            _, min_lt = optimal_schedule_oracle(block, cap=oracle_cap)
+            _, min_lt = optimal_schedule_oracle(block)
             b_hit = None
             for (p_min, p_max) in per_partition:
                 if p_min > min_lt:

@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 capacity limit,
-4 internal invariant violation.
+Exit codes: 0 success, 2 parse/validation failure or a file that cannot be
+read or written, 3 capacity limit, 4 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -147,13 +148,15 @@ def cmd_smr(args) -> int:
 def cmd_analyze(args) -> int:
     ns = [int(x) for x in args.ns.split(",") if x]
     ps = [float(x) for x in args.ps.split(",") if x]
-    cells = analysis.vulnerability_study(
+    cells = analysis.iter_study(
         ns, ps, args.samples, args.seed, order_mode=args.order, workers=args.workers
     )
-    csv_text = analysis.study_to_csv(cells)
+    # opened before the first cell runs; each row is written once its cell is done
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    print(csv_text, end="")
+        rows = map(analysis.study_csv_row, cells)
+        for line in itertools.chain((analysis.STUDY_CSV_HEADER,), rows):
+            fh.write(line + "\n")
+            print(line, flush=True)
     return EXIT_OK
 
 
@@ -161,7 +164,7 @@ def cmd_oracle(args) -> int:
     block = read_block_file(args.block_file)
     # first and under its own smaller cap: it enumerates every order of the block
     other = analysis.optimal_latency_all_orientations(block) if args.double_check else None
-    witness, best = analysis.optimal_schedule_oracle(block, cap=args.cap)
+    witness, best = analysis.optimal_schedule_oracle(block)
     if other is not None and other != best:
         raise InvariantError(f"oracles disagree: partitions {best}, orientations {other}")
     print(f"optimal_latency {best}")
@@ -251,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser("oracle", help="exhaustive minimum-latency search for a small block")
     p_or.add_argument("block_file")
-    p_or.add_argument("--cap", type=int, default=analysis.ORACLE_CAP)
     p_or.add_argument(
         "--double-check",
         action="store_true",
@@ -292,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CapacityError as exc:

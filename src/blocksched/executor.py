@@ -49,7 +49,7 @@ from .schedule import (
     latency,
 )
 
-# Worker threads of one execution unless the caller asks for fewer or more.
+# Worker threads of one execution, read when its handle is built.
 MAX_WORKERS = 8
 
 
@@ -129,10 +129,7 @@ class GraphExecutionHandle:
         jitter_seed: int | None = None,
         max_jitter_us: int = 0,
         trace: bool = False,
-        max_workers: int = MAX_WORKERS,
     ) -> None:
-        if max_workers < 1:
-            raise ValidationError("max_workers must be >= 1")
         self._txs = {tx.id: tx for tx in block.txs}
         self._state = state
         self._succs = schedule.succs
@@ -151,7 +148,7 @@ class GraphExecutionHandle:
         self._work_cv = threading.Condition(self._lock)
         self._workers = [
             threading.Thread(target=self._work, daemon=True)
-            for _ in range(min(max_workers, self._pending))
+            for _ in range(min(MAX_WORKERS, self._pending))
         ]
         self._jitter_seed = jitter_seed
         self._max_jitter_us = max_jitter_us
@@ -324,7 +321,6 @@ def execute_graph_schedule(
     *,
     jitter_seed: int | None = None,
     max_jitter_us: int = 0,
-    max_workers: int = MAX_WORKERS,
 ) -> ExecutionOutcome:
     """Run the block concurrently under a valid graph schedule (blocking)."""
     return _checked_run(
@@ -336,7 +332,6 @@ def execute_graph_schedule(
         state,
         jitter_seed=jitter_seed,
         max_jitter_us=max_jitter_us,
-        max_workers=max_workers,
     )
 
 
@@ -347,7 +342,6 @@ def execute_graph_schedule_broken(
     *,
     jitter_seed: int | None = None,
     max_jitter_us: int = 0,
-    max_workers: int = MAX_WORKERS,
 ) -> ExecutionOutcome:
     """Deliberately defective executor that releases successors before
     committing writes. Exists only as the negative control for determinism
@@ -361,7 +355,6 @@ def execute_graph_schedule_broken(
         state,
         jitter_seed=jitter_seed,
         max_jitter_us=max_jitter_us,
-        max_workers=max_workers,
     )
 
 

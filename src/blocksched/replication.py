@@ -17,6 +17,7 @@ deterministic runner reproduces the ledger byte for byte.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -107,15 +108,14 @@ def _weighted_coloring_step(runner, txs, g):
     """Exact minimal weighted coloring, greedy above its cap or work budget.
 
     With ``epsilon_cutoff`` set, a block whose length spread is within the
-    cutoff is treated as homogeneous and colored unweighted.
+    cutoff is treated as homogeneous and colored as ``min-coloring`` colors it.
     """
     lengths = {tx.id: tx.length for tx in txs}
     spread = max(lengths.values()) - min(lengths.values()) if lengths else 0
+    if runner.epsilon_cutoff is not None and spread <= runner.epsilon_cutoff:
+        return _min_coloring_step(runner, txs, g)
     try:
-        if runner.epsilon_cutoff is not None and spread <= runner.epsilon_cutoff:
-            return exact_min_coloring(g), "exact", True
-        coloring = exact_min_weighted_coloring(g, lengths)
-        return coloring, "weighted-exact", True
+        return exact_min_weighted_coloring(g, lengths), "weighted-exact", True
     except CapacityError:
         return greedy_coloring(g, descending_degree_order(g)), "weighted-exact", False
 
@@ -388,6 +388,12 @@ def run_main_loop(
     that ends before every recorded block is replayed raises ValidationError.
     ``max_blocks`` stops after that many blocks (used to simulate a crash).
     """
+    # the first block is read before the ledger is touched, so a stream that
+    # cannot be opened or parsed leaves the ledger as it was
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is not None:
+        blocks = itertools.chain((first,), blocks)
     ledger = Ledger(ledger_path)
     existing = ledger.recover() if resume else []
     if not resume:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksched import analysis
 from blocksched.analysis import (
     CounterexampleReport,
     concurrency_level_floor,
@@ -57,6 +58,19 @@ def test_oracle_cap():
         optimal_schedule_oracle(chain_block(11))
     with pytest.raises(CapacityError):
         optimal_latency_all_orientations(chain_block(9))
+
+
+def test_oracle_caps_are_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(analysis, "ORACLE_CAP", 5)
+    monkeypatch.setattr(analysis, "FULL_DAG_ORACLE_CAP", 4)
+    assert optimal_schedule_oracle(chain_block(5))[1] == 2
+    with pytest.raises(CapacityError, match=r"oracle capped at 5 transactions \(block has 6\)"):
+        optimal_schedule_oracle(chain_block(6))
+    assert optimal_latency_all_orientations(chain_block(4)) == 2
+    with pytest.raises(CapacityError, match="orientation oracle capped at 4 transactions"):
+        optimal_latency_all_orientations(chain_block(5))
+    with pytest.raises(CapacityError, match="n_max=6 exceeds the oracle cap 5"):
+        hetero_counterexample_search(n_max=6, trials=1)
 
 
 def test_oracle_is_deterministic():
@@ -195,6 +209,12 @@ def test_gnp_edge_count_within_four_sigma():
     assert abs(len(g.edges) - mean) <= 4 * sigma
 
 
+def test_gnp_rejects_a_negative_size():
+    with pytest.raises(ValidationError, match="n must be non-negative"):
+        gnp_graph(-3, 0.5, 1)
+    assert gnp_graph(0, 0.5, 1).n == 0
+
+
 def test_gnp_reproducible():
     assert gnp_graph(30, 0.3, 7).edges == gnp_graph(30, 0.3, 7).edges
 
@@ -241,6 +261,27 @@ def test_ratio_grows_with_density_at_fixed_n():
     assert cells[1].mean_ratio > cells[0].mean_ratio
 
 
+@pytest.mark.parametrize(
+    "ns, ps, options, message",
+    [
+        ([10, -5], [0.5], {}, "n must be non-negative"),
+        ([10], [0.5, 1.5], {}, r"p must be in \[0, 1\]"),
+        ([10], [0.5], {"workers": 0}, "workers must be >= 1"),
+        ([10], [0.5], {"workers": -3}, "workers must be >= 1"),
+    ],
+    ids=["negative-n", "p-above-1", "zero-workers", "negative-workers"],
+)
+def test_vulnerability_study_rejects_bad_arguments_before_any_cell(
+    monkeypatch, ns, ps, options, message
+):
+    def no_cell(args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(analysis, "_study_cell", no_cell)
+    with pytest.raises(ValidationError, match=message):
+        vulnerability_study(ns, ps, samples=2, seed=1, **options)
+
+
 def test_vulnerability_study_parallel_matches_serial():
     serial = vulnerability_study([12], [0.1, 0.3], samples=4, seed=9, workers=1)
     parallel = vulnerability_study([12], [0.1, 0.3], samples=4, seed=9, workers=2)
@@ -278,6 +319,16 @@ def test_homogeneous_control_finds_no_a_witnesses_smoke():
         n_max=7, trials=300, seed=3, homogeneous=True, stop_when=None
     )
     assert report.counts["a"] == 0
+
+
+def test_hetero_search_reads_its_length_choices_at_call_time(monkeypatch):
+    # unit lengths make every block homogeneous: no (a)-style gap can exist
+    monkeypatch.setattr(analysis, "LENGTH_CHOICES", (1,))
+    report = hetero_counterexample_search(n_max=7, trials=100, seed=3, stop_when=None)
+    assert report.trials_run == 100
+    assert report.counts["a"] == 0
+    for witness in report.witnesses.values():
+        assert all(tx.length == 1 for tx in block_from_text(witness.block_text).txs)
 
 
 def test_hetero_search_rejects_nmax_above_cap():

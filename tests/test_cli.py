@@ -1,13 +1,10 @@
 import json
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from blocksched import cli, executor, replication
+from blocksched import analysis, cli, executor, replication
 from blocksched.cli import main
 from blocksched.errors import ValidationError
 from blocksched.model import block_to_obj, write_block_file, write_stream_file
@@ -265,25 +262,104 @@ def test_analyze_p_zero_and_reproducible(tmp_path, capsys):
     assert out_csv.read_bytes() == first
 
 
-def test_full_ratio_sweep_script_matches_analyze(tmp_path, capsys):
-    repo = Path(__file__).resolve().parents[1]
-    pythonpath = filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])
-    script_csv = tmp_path / "script.csv"
-    proc = subprocess.run(
-        [sys.executable, str(repo / "scripts" / "full_ratio_sweep.py"), "--out", str(script_csv),
-         "--ns", "20,30", "--ps", "0.1", "--samples", "2", "--seed", "7"],
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert f"wrote 2 cells to {script_csv}" in proc.stdout
-    cli_csv = tmp_path / "cli.csv"
-    code, _, _ = run_cli(
-        capsys, "analyze", "--ns", "20,30", "--ps", "0.1", "--samples", "2",
-        "--seed", "7", "--out", str(cli_csv),
-    )
+def test_analyze_prints_each_row_once_its_cell_is_done(tmp_path, capsys, monkeypatch):
+    printed_before_cell = []
+    study_cell = analysis._study_cell
+
+    def traced_cell(args):
+        printed_before_cell.append(capsys.readouterr().out)
+        return study_cell(args)
+
+    monkeypatch.setattr(analysis, "_study_cell", traced_cell)
+    out_csv = tmp_path / "out.csv"
+    code = main(["analyze", "--ns", "20,30", "--ps", "0.1", "--samples", "2", "--seed", "7",
+                 "--out", str(out_csv)])
+    rest = capsys.readouterr().out
     assert code == 0
-    assert script_csv.read_text() == cli_csv.read_text()
+    header, row20, row30 = out_csv.read_text().splitlines(keepends=True)
+    assert printed_before_cell == [header, row20]
+    assert rest == row30
+    monkeypatch.setattr(analysis, "_study_cell", study_cell)
+    cells = analysis.vulnerability_study([20, 30], [0.1], samples=2, seed=7)
+    assert out_csv.read_text() == analysis.study_to_csv(cells)
+
+
+def test_analyze_opens_out_before_the_study(tmp_path, capsys, monkeypatch):
+    def no_cell(args):
+        raise AssertionError("a cell ran before --out was opened")
+
+    monkeypatch.setattr(analysis, "_study_cell", no_cell)
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    code, stdout, err = run_cli(capsys, "analyze", "--ns", "10", "--ps", "0.1", "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--ns=-5", "--ps", "0.5"], "n must be non-negative"),
+        (["--ns", "10", "--ps", "1.5"], "p must be in [0, 1]"),
+        (["--ns", "10", "--ps", "0.5", "--workers", "-3"], "workers must be >= 1"),
+        (["--ns", "10", "--ps", "0.5", "--workers", "0"], "workers must be >= 1"),
+        (["--ns", "10", "--ps", "0.5", "--samples", "0"], "samples must be >= 1"),
+    ],
+    ids=["negative-n", "p-above-1", "negative-workers", "zero-workers", "zero-samples"],
+)
+def test_analyze_rejects_bad_arguments_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli(capsys, "analyze", *flags, "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["schedule", "execute", "conflicts", "oracle"])
+def test_missing_block_file_exits_2(tmp_path, capsys, command):
+    code, stdout, err = run_cli(capsys, command, str(tmp_path / "missing.json"))
+    assert code == 2
+    assert err.startswith("error: ") and "missing.json" in err
+    assert stdout == ""
+
+
+@pytest.fixture()
+def written_ledger(tmp_path, capsys):
+    stream = tmp_path / "stream.jsonl"
+    write_stream_file(stream, gen_stream([WorkloadSpec(n_txs=4, seed=s) for s in range(3)]))
+    ledger = tmp_path / "ledger.bin"
+    assert run_cli(capsys, "smr", str(stream), "--ledger", str(ledger))[0] == 0
+    assert ledger.stat().st_size > 0
+    return ledger
+
+
+@pytest.mark.parametrize("resume", [False, True])
+@pytest.mark.parametrize(
+    "stream_text", [None, "{broken\n", "\n[1, 2]\n"], ids=["missing", "bad-json", "not-a-block"]
+)
+def test_smr_leaves_the_ledger_when_the_stream_cannot_be_read(
+    tmp_path, capsys, written_ledger, stream_text, resume
+):
+    before = written_ledger.read_bytes()
+    stream = tmp_path / "other.jsonl"
+    if stream_text is not None:
+        stream.write_text(stream_text)
+    argv = ["smr", str(stream), "--ledger", str(written_ledger)] + (["--resume"] if resume else [])
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert stdout == ""
+    assert written_ledger.read_bytes() == before
+
+
+def test_smr_over_an_empty_stream_still_truncates(tmp_path, capsys, written_ledger):
+    stream = tmp_path / "empty.jsonl"
+    stream.write_text("")
+    code, out, _ = run_cli(capsys, "smr", str(stream), "--ledger", str(written_ledger))
+    assert code == 0
+    assert out.startswith("final_state_digest ")
+    assert written_ledger.read_bytes() == b""
 
 
 def test_oracle_chain(chain_file, capsys):
@@ -309,6 +385,13 @@ def test_oracle_double_check_keeps_its_own_cap(tmp_path, capsys):
     code, _, err = run_cli(capsys, "oracle", str(path), "--double-check")
     assert code == 3
     assert "orientation oracle capped at 8 transactions (block has 10)" in err
+
+
+def test_oracle_cap_is_not_an_option(chain_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", chain_file, "--cap", "12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 12" in capsys.readouterr().err
 
 
 def test_oracle_capacity_exit_code(tmp_path, capsys):
@@ -443,11 +526,20 @@ def test_generators_reject_negative_counts(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
-def readme_cli_lines():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def blocksched_lines(text):
+    """Every ``blocksched ...`` command line of ``text``, with backslash
+    continuations joined and ``#`` comments cut off."""
+    joined = text.replace("\\\n", " ")
+    lines = [line.split("#", 1)[0].strip() for line in joined.splitlines()]
     return [line for line in lines if line.startswith("blocksched ")]
+
+
+def readme_cli_lines():
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return blocksched_lines(block)
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
@@ -457,3 +549,13 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         code, _, err = run_cli(capsys, *shlex.split(line)[1:])
         assert code == 0, (line, err)
+
+
+def test_every_readme_command_line_parses():
+    lines = blocksched_lines(README.read_text())
+    assert len(lines) > len(readme_cli_lines())
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+    sweeps = [line for line in lines if "--out full_sweep.csv" in line]
+    assert len(sweeps) == 1 and "--workers" in sweeps[0]

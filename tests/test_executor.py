@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from blocksched import executor
 from blocksched.conflict import build_conflict_graph
 from blocksched.coloring import descending_degree_order, greedy_coloring, partition_from_coloring
 from blocksched.errors import InvariantError, ValidationError
@@ -103,13 +104,16 @@ def test_graph_execution_does_not_mutate_input_state():
     assert state == GlobalState({"x": 9})
 
 
-def test_bounded_pool_matches_unbounded():
+def test_bounded_pool_matches_unbounded(monkeypatch):
     block = gen_block(WorkloadSpec(n_txs=12, key_universe=6, seed=21))
     g = build_conflict_graph(block)
     part = partition_from_coloring(greedy_coloring(g, descending_degree_order(g)))
     s = level_schedule(part, g)
     full = execute_graph_schedule(block, s, EMPTY)
-    pooled = execute_graph_schedule(block, s, EMPTY, max_workers=3)
+    monkeypatch.setattr(executor, "MAX_WORKERS", 3)
+    # the pool size is read when a handle is built
+    assert len(GraphExecutionHandle(block, s, EMPTY)._workers) == 3
+    pooled = execute_graph_schedule(block, s, EMPTY)
     assert pooled.state_changes == full.state_changes
     assert pooled.results_by_id().keys() == full.results_by_id().keys()
 
@@ -244,8 +248,9 @@ def test_raising_transaction_fails_graph_execution(monkeypatch, max_workers):
     block = gen_block(WorkloadSpec(n_txs=24, key_universe=6, seed=8))
     s = greedy_level_schedule(block)
     inject_tx_failure(monkeypatch, bad_id=5)
+    monkeypatch.setattr(executor, "MAX_WORKERS", max_workers)
     with pytest.raises(InvariantError, match="tx 5") as info:
-        run_bounded(lambda: execute_graph_schedule(block, s, EMPTY, max_workers=max_workers))
+        run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))
     assert isinstance(info.value.__cause__, RuntimeError)
 
 
@@ -258,8 +263,9 @@ def test_raising_transaction_fails_batch_execution(monkeypatch):
         run_bounded(lambda: execute_batch_schedule(block, b, EMPTY))
 
 
-def test_stress_more_workers_than_cores():
+def test_stress_more_workers_than_cores(monkeypatch):
     workers = (os.cpu_count() or 1) + 4
+    monkeypatch.setattr(executor, "MAX_WORKERS", workers)
     block = gen_block(WorkloadSpec(n_txs=max(96, 4 * workers), key_universe=12, seed=31))
     s = greedy_level_schedule(block)
     ref = execute_sequential(block, s.topo_order(), EMPTY)
@@ -269,7 +275,7 @@ def test_stress_more_workers_than_cores():
     try:
         for trial in range(10):
             out = run_bounded(
-                lambda: execute_graph_schedule(block, s, EMPTY, max_workers=workers), timeout=60
+                lambda: execute_graph_schedule(block, s, EMPTY), timeout=60
             )
             assert out.state_changes == ref.state_changes, f"trial {trial}"
             got = {i: (r.read_values, r.written_values) for i, r in out.results_by_id().items()}
