@@ -3,7 +3,6 @@
 from .conflict import ConflictGraph, build_conflict_graph, conflicts
 from .coloring import (
     Coloring,
-    convert_to_coloring,
     descending_degree_order,
     exact_min_coloring,
     exact_min_weighted_coloring,
@@ -39,6 +38,7 @@ from .schedule import (
     GraphSchedule,
     batch_latency,
     batch_to_graph,
+    convert_to_coloring,
     is_valid_schedule,
     latency,
     latency_stats,

@@ -395,7 +395,7 @@ def _study_cell(args: tuple[int, float, int, int, str]) -> StudyCell:
     )
 
 
-def iter_study(
+def vulnerability_study(
     ns: Sequence[int],
     ps: Sequence[float],
     samples: int,
@@ -404,8 +404,13 @@ def iter_study(
     order_mode: str = "id",
     workers: int = 1,
 ) -> Iterator[StudyCell]:
-    """:func:`vulnerability_study`'s cells, each yielded once it and every
-    cell before it are done; the arguments are checked before any cell runs."""
+    """Mean estimated worst/best latency ratio over seeded random graphs.
+
+    The arguments are checked before any cell runs. Cells are yielded in
+    ``(n, p)`` order, each once it and every cell before it are done. Per-cell
+    seeds derive from (seed, n, p), so serial and parallel runs yield
+    identical cells.
+    """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if workers < 1:
@@ -425,23 +430,6 @@ def _pooled_cells(cells: list[tuple], workers: int) -> Iterator[StudyCell]:
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_study_cell, cells)
-
-
-def vulnerability_study(
-    ns: Sequence[int],
-    ps: Sequence[float],
-    samples: int,
-    seed: int,
-    *,
-    order_mode: str = "id",
-    workers: int = 1,
-) -> list[StudyCell]:
-    """Mean estimated worst/best latency ratio over seeded random graphs.
-
-    Per-cell seeds derive from (seed, n, p), so serial and parallel runs emit
-    identical results in the same deterministic (n, p) order.
-    """
-    return list(iter_study(ns, ps, samples, seed, order_mode=order_mode, workers=workers))
 
 
 STUDY_CSV_HEADER = "n,p,samples,mean_ratio,min_ratio,max_ratio,seed"

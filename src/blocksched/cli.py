@@ -24,7 +24,6 @@ from .model import (
 )
 from .replication import (
     BUILTIN_RUNNERS,
-    COLOR_ORDERS,
     BatchPlan,
     make_runner,
     plan_block,
@@ -59,12 +58,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
         help="schedule synthesis strategy",
     )
     parser.add_argument(
-        "--color-order",
-        choices=list(COLOR_ORDERS),
-        default="size-desc",
-        help="order in which color classes become levels",
-    )
-    parser.add_argument(
         "--treat-epsilon-homogeneous",
         type=int,
         default=None,
@@ -73,12 +66,21 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _comma_list(item_type):
+    """An argparse ``type`` for a comma-separated list; empty items are
+    skipped, and a bad item is a usage error."""
+
+    def parse(text: str) -> list:
+        try:
+            return [item_type(x) for x in text.split(",") if x]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {item_type.__name__} list: {text!r}") from None
+
+    return parse
+
+
 def _runner(args):
-    return make_runner(
-        args.runner,
-        color_order=args.color_order,
-        epsilon_cutoff=args.treat_epsilon_homogeneous,
-    )
+    return make_runner(args.runner, epsilon_cutoff=args.treat_epsilon_homogeneous)
 
 
 def _graph_schedule(plan):
@@ -146,10 +148,8 @@ def cmd_smr(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    ns = [int(x) for x in args.ns.split(",") if x]
-    ps = [float(x) for x in args.ps.split(",") if x]
-    cells = analysis.iter_study(
-        ns, ps, args.samples, args.seed, order_mode=args.order, workers=args.workers
+    cells = analysis.vulnerability_study(
+        args.ns, args.ps, args.samples, args.seed, order_mode=args.order, workers=args.workers
     )
     # opened before the first cell runs; each row is written once its cell is done
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -187,7 +187,7 @@ def _spec_from_args(args, seed: int) -> workload.WorkloadSpec:
         length_mode=args.length_mode,
         length_base=args.length_base,
         length_epsilon=args.length_epsilon,
-        length_choices=tuple(int(x) for x in args.length_choices.split(",") if x),
+        length_choices=tuple(args.length_choices),
         conflict_p=args.conflict_p,
         seed=seed,
     )
@@ -243,8 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_smr.set_defaults(func=cmd_smr)
 
     p_an = sub.add_parser("analyze", help="estimate the order-induced latency penalty on random graphs")
-    p_an.add_argument("--ns", required=True, help="comma-separated block sizes")
-    p_an.add_argument("--ps", required=True, help="comma-separated conflict probabilities")
+    p_an.add_argument("--ns", required=True, type=_comma_list(int), help="comma-separated block sizes")
+    p_an.add_argument(
+        "--ps", required=True, type=_comma_list(float), help="comma-separated conflict probabilities"
+    )
     p_an.add_argument("--samples", type=int, default=100)
     p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--order", choices=["id", "random"], default="id")
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_gen.add_argument("--length-mode", choices=list(workload.LENGTH_MODES), default="homogeneous")
         p_gen.add_argument("--length-base", type=int, default=1)
         p_gen.add_argument("--length-epsilon", type=int, default=0)
-        p_gen.add_argument("--length-choices", default="1,10,100,1000")
+        p_gen.add_argument("--length-choices", type=_comma_list(int), default="1,10,100,1000")
         p_gen.add_argument("--conflict-p", type=float, default=None)
         if name == "gen-block":
             p_gen.add_argument("--chain", action="store_true", help="chain-of-conflicts block")

@@ -14,13 +14,10 @@ of search work (never time), so every replica falls back on the same graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .conflict import ConflictGraph
 from .errors import CapacityError, ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .schedule import GraphSchedule
 
 EXACT_COLORING_CAP = 64
 EXACT_WEIGHTED_CAP = 20
@@ -51,14 +48,6 @@ def is_legal(coloring: Coloring, g: ConflictGraph) -> bool:
     if len(coloring.colors) != g.n:
         return False
     return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges)
-
-
-def assert_legal(coloring: Coloring, g: ConflictGraph) -> None:
-    if len(coloring.colors) != g.n:
-        raise ValidationError(f"coloring covers {len(coloring.colors)} vertices, graph has {g.n}")
-    for u, v in sorted(g.edges):
-        if coloring.colors[u] == coloring.colors[v]:
-            raise ValidationError(f"illegal coloring: adjacent pair ({u}, {v}) share color {coloring.colors[u]}")
 
 
 def partition_from_coloring(coloring: Coloring) -> tuple[tuple[int, ...], ...]:
@@ -208,30 +197,6 @@ def exact_min_weighted_coloring(g: ConflictGraph, lengths: Mapping[int, int]) ->
         )
     _check_lengths(lengths, g.n)
     return _min_weight_search(g, [lengths[v] for v in range(g.n)])
-
-
-def convert_to_coloring(schedule: "GraphSchedule", g: ConflictGraph | None = None) -> Coloring:
-    """Color every vertex by its depth in the scheduling DAG (sources get 1).
-
-    The number of colors equals the DAG's vertex depth. If ``g`` is given the
-    result is checked for legality, which flags schedules that were not valid
-    for that conflict graph.
-    """
-    n = schedule.n
-    depth = [0] * n
-    for v in schedule.topo_order():
-        best = 0
-        for u in schedule.preds[v]:
-            if depth[u] > best:
-                best = depth[u]
-        depth[v] = best + 1
-    coloring = Coloring(tuple(depth))
-    if g is not None:
-        try:
-            assert_legal(coloring, g)
-        except ValidationError as exc:
-            raise ValidationError(f"schedule is not valid for the conflict graph: {exc}") from exc
-    return coloring
 
 
 def dump_coloring(coloring: Coloring) -> str:

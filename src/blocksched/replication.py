@@ -25,12 +25,10 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
 
 from .coloring import (
-    Coloring,
     descending_degree_order,
     exact_min_coloring,
     exact_min_weighted_coloring,
     greedy_coloring,
-    partition_from_coloring,
 )
 from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
@@ -76,16 +74,6 @@ class BatchPlan:
     levels: tuple[tuple[int, ...], ...]
     coloring_mode: str | None = None
     exact: bool | None = None
-
-
-# Orders in which color classes become levels; ``BlockRunner`` rejects others.
-COLOR_ORDERS = ("size-desc", "ascending")
-
-
-def _color_partition(coloring: Coloring, color_order: str) -> tuple[tuple[int, ...], ...]:
-    if color_order == "ascending":
-        return partition_from_coloring(coloring)
-    return size_descending_color_order(coloring)
 
 
 # Coloring steps: (runner, txs, conflict graph) -> (coloring, coloring_mode,
@@ -134,12 +122,13 @@ BUILTIN_RUNNERS: dict[str, tuple[Callable | None, bool]] = {
 
 @dataclass(frozen=True)
 class BlockRunner:
-    """A built-in runner: its name in ``BUILTIN_RUNNERS`` plus the coloring
-    options. ``make_schedule`` is a pure deterministic function of the
-    transactions and the conflict constraints."""
+    """A built-in runner: its name in ``BUILTIN_RUNNERS`` plus the epsilon
+    cutoff of ``weighted-coloring``. ``make_schedule`` is a pure deterministic
+    function of the transactions and the conflict constraints; the color
+    classes become levels in ``size_descending_color_order``, so every replica
+    runs a block's levels in the same order."""
 
     name: str = "order"
-    color_order: str = "size-desc"
     epsilon_cutoff: int | None = None
 
     def __post_init__(self) -> None:
@@ -147,8 +136,13 @@ class BlockRunner:
             raise ValidationError(
                 f"unknown runner {self.name!r}; choose from {sorted(BUILTIN_RUNNERS)}"
             )
-        if self.color_order not in COLOR_ORDERS:
-            raise ValidationError(f"unknown color order {self.color_order!r}")
+        if self.epsilon_cutoff is not None:
+            if self.name != "weighted-coloring":
+                raise ValidationError(
+                    f"epsilon cutoff applies only to the weighted-coloring runner, not {self.name!r}"
+                )
+            if self.epsilon_cutoff < 0:
+                raise ValidationError(f"epsilon cutoff must be >= 0, got {self.epsilon_cutoff}")
 
     def make_schedule(
         self, txs: Sequence[Transaction], constraints: ConflictGraph
@@ -157,7 +151,7 @@ class BlockRunner:
         if coloring_step is None:
             return GraphPlan(schedule=total_order_schedule(txs, constraints))
         coloring, mode, exact = coloring_step(self, txs, constraints)
-        levels = _color_partition(coloring, self.color_order)
+        levels = size_descending_color_order(coloring)
         if batch:
             return BatchPlan(
                 batches=BatchSchedule(levels), levels=levels, coloring_mode=mode, exact=exact
@@ -184,13 +178,8 @@ class BlockRunner:
         return GraphExecutionHandle(block, plan.schedule, state, trace=trace)
 
 
-def make_runner(
-    name: str,
-    *,
-    color_order: str = "size-desc",
-    epsilon_cutoff: int | None = None,
-) -> BlockRunner:
-    return BlockRunner(name, color_order, epsilon_cutoff)
+def make_runner(name: str, *, epsilon_cutoff: int | None = None) -> BlockRunner:
+    return BlockRunner(name, epsilon_cutoff)
 
 
 def plan_block(runner: BlockRunner, block: Block) -> GraphPlan | BatchPlan:

@@ -139,6 +139,24 @@ def is_valid_schedule(s: GraphSchedule, g: ConflictGraph) -> bool:
     return all((anc[v] >> u) & 1 or (anc[u] >> v) & 1 for u, v in g.edges)
 
 
+def convert_to_coloring(s: GraphSchedule, g: ConflictGraph | None = None) -> Coloring:
+    """Color every vertex by its depth in the scheduling DAG (sources get 1).
+
+    The number of colors equals the DAG's vertex depth. If ``g`` is given,
+    ``s`` must be valid for it (:func:`is_valid_schedule`); then the coloring
+    is legal for ``g``.
+    """
+    if g is not None and (s.n != g.n or not is_valid_schedule(s, g)):
+        raise ValidationError(
+            f"schedule is not valid for the conflict graph: a schedule on {s.n} vertices "
+            f"must order every conflicting pair of a graph on {g.n}"
+        )
+    depth = [0] * s.n
+    for v in s._topo:
+        depth[v] = 1 + max((depth[u] for u in s.preds[v]), default=0)
+    return Coloring(tuple(depth))
+
+
 def is_valid_batch_schedule(b: BatchSchedule, g: ConflictGraph) -> bool:
     """True iff the batches partition g's vertices and no batch holds a conflicting pair."""
     try:

@@ -18,6 +18,13 @@ from .model import (
 )
 
 LENGTH_MODES = ("homogeneous", "epsilon", "heterogeneous")
+# per generated transaction: inclusive ranges of read- and write-set sizes,
+# and the program kinds drawn from (in this order)
+READ_SIZE = (0, 2)
+WRITE_SIZE = (1, 2)
+PROGRAM_KINDS = (ProgramKind.WRITE_CONST, ProgramKind.SUM_AND_ADD, ProgramKind.SLEEP_ONLY)
+# shared keys of a commutative block
+SHARED_KEY_COUNT = 4
 
 
 @dataclass(frozen=True)
@@ -33,17 +40,10 @@ class WorkloadSpec:
 
     n_txs: int
     key_universe: int = 16
-    read_size: tuple[int, int] = (0, 2)
-    write_size: tuple[int, int] = (1, 2)
     length_mode: str = "homogeneous"
     length_base: int = 1
     length_epsilon: int = 0
     length_choices: tuple[int, ...] = (1, 10, 100, 1000)
-    program_kinds: tuple[ProgramKind, ...] = (
-        ProgramKind.WRITE_CONST,
-        ProgramKind.SUM_AND_ADD,
-        ProgramKind.SLEEP_ONLY,
-    )
     conflict_p: float | None = None
     seed: int = 0
 
@@ -60,11 +60,8 @@ class WorkloadSpec:
             raise ValidationError("length_epsilon must be >= 0")
         if self.length_mode == "heterogeneous" and not self.length_choices:
             raise ValidationError("heterogeneous mode needs length_choices")
-        for lo, hi in (self.read_size, self.write_size):
-            if not 0 <= lo <= hi:
-                raise ValidationError("set size ranges must satisfy 0 <= lo <= hi")
-            if hi > self.key_universe:
-                raise ValidationError("set sizes cannot exceed the key universe")
+        if max(READ_SIZE[1], WRITE_SIZE[1]) > self.key_universe:
+            raise ValidationError("set sizes cannot exceed the key universe")
         if self.conflict_p is not None and not 0.0 <= self.conflict_p <= 1.0:
             raise ValidationError("conflict_p must be in [0, 1]")
 
@@ -127,7 +124,7 @@ def _draw_length(spec: WorkloadSpec, rng: random.Random) -> int:
 
 
 def _draw_program(spec: WorkloadSpec, rng: random.Random) -> TxProgram:
-    kind = rng.choice(spec.program_kinds)
+    kind = rng.choice(PROGRAM_KINDS)
     return TxProgram(kind=kind, const_value=rng.randint(-100, 100))
 
 
@@ -148,8 +145,8 @@ def gen_block(spec: WorkloadSpec, *, seq: int = 0, prev_hash: bytes = b"") -> Bl
     universe = [f"k{i}" for i in range(spec.key_universe)]
     txs = []
     for tx_id in range(spec.n_txs):
-        reads = rng.sample(universe, rng.randint(*spec.read_size))
-        writes = rng.sample(universe, rng.randint(*spec.write_size))
+        reads = rng.sample(universe, rng.randint(*READ_SIZE))
+        writes = rng.sample(universe, rng.randint(*WRITE_SIZE))
         txs.append(
             Transaction(
                 id=tx_id,
@@ -219,9 +216,7 @@ def chain_block(n: int, *, length: int = 1, seq: int = 0, prev_hash: bytes = b""
     return Block(seq=seq, prev_hash=prev_hash, txs=tuple(txs))
 
 
-def gen_commutative_block(
-    n: int, *, shared_keys: int = 4, seed: int = 0, seq: int = 0, prev_hash: bytes = b""
-) -> Block:
+def gen_commutative_block(n: int, *, seed: int = 0, seq: int = 0, prev_hash: bytes = b"") -> Block:
     """A block whose final state is the same under every serialization.
 
     Conflicts are real: several transactions write each shared key and
@@ -231,7 +226,7 @@ def gen_commutative_block(
     Useful wherever different schedulers must agree on the final state.
     """
     rng = random.Random(seed)
-    shared = [f"s{i}" for i in range(shared_keys)]
+    shared = [f"s{i}" for i in range(SHARED_KEY_COUNT)]
     txs = []
     for tx_id in range(n):
         role = rng.choice(("writer", "reader", "private"))
@@ -276,24 +271,26 @@ def _draw_length_choice(rng: random.Random) -> int:
     return rng.choice((1, 2, 5, 10))
 
 
-def gen_commutative_stream(
-    count: int, *, n: int = 10, seed: int = 0, initial_prev_hash: bytes = b""
-) -> list[Block]:
+def _chain(make_block, items) -> list[Block]:
+    """``make_block(item, seq=, prev_hash=)`` per item: consecutive seq numbers
+    from 0, each prev_hash the hash of the block before (empty for the first)."""
     blocks: list[Block] = []
-    prev = initial_prev_hash
-    for seq in range(count):
-        block = gen_commutative_block(n, seed=seed + seq, seq=seq, prev_hash=prev)
+    prev = b""
+    for seq, item in enumerate(items):
+        block = make_block(item, seq=seq, prev_hash=prev)
         blocks.append(block)
         prev = block_hash(block)
     return blocks
 
 
-def gen_stream(specs, *, initial_prev_hash: bytes = b"") -> list[Block]:
-    """Blocks with consecutive seq numbers and a chained prev_hash."""
-    blocks: list[Block] = []
-    prev = initial_prev_hash
-    for seq, spec in enumerate(specs):
-        block = gen_block(spec, seq=seq, prev_hash=prev)
-        blocks.append(block)
-        prev = block_hash(block)
-    return blocks
+def gen_commutative_stream(count: int, *, n: int = 10, seed: int = 0) -> list[Block]:
+    """Commutative blocks of n transactions, block i seeded with seed + i."""
+    return _chain(
+        lambda block_seed, **at: gen_commutative_block(n, seed=block_seed, **at),
+        range(seed, seed + count),
+    )
+
+
+def gen_stream(specs) -> list[Block]:
+    """One block per spec, with consecutive seq numbers and a chained prev_hash."""
+    return _chain(gen_block, specs)

@@ -167,7 +167,7 @@ def test_c04_chromatic_equals_optimal_latency():
 
 
 def test_c05_level_scheduling_completeness():
-    from blocksched.coloring import convert_to_coloring
+    from blocksched.schedule import convert_to_coloring
 
     rng = random.Random(505)
     violations = 0
@@ -224,9 +224,9 @@ def test_c07_heterogeneous_negative_results():
 
 def test_c08_vulnerability_study_desk_scale():
     started = time.perf_counter()
-    cells = vulnerability_study([100], [0.01], samples=100, seed=7)
+    cells = list(vulnerability_study([100], [0.01], samples=100, seed=7))
     low = cells[0].mean_ratio
-    cells = vulnerability_study([500], [0.05], samples=100, seed=7)
+    cells = list(vulnerability_study([500], [0.05], samples=100, seed=7))
     high = cells[0].mean_ratio
     elapsed = time.perf_counter() - started
     assert low >= 1.3

@@ -225,10 +225,10 @@ def test_ratio_sample_p_zero_is_one():
 
 
 def test_vulnerability_study_shapes_and_determinism():
-    cells = vulnerability_study([10, 20], [0.0, 0.2], samples=5, seed=3)
+    cells = list(vulnerability_study([10, 20], [0.0, 0.2], samples=5, seed=3))
     assert [(c.n, c.p) for c in cells] == [(10, 0.0), (10, 0.2), (20, 0.0), (20, 0.2)]
     assert cells[0].mean_ratio == 1.0
-    again = vulnerability_study([10, 20], [0.0, 0.2], samples=5, seed=3)
+    again = list(vulnerability_study([10, 20], [0.0, 0.2], samples=5, seed=3))
     assert study_to_csv(cells) == study_to_csv(again)
 
 
@@ -252,12 +252,12 @@ STUDY_GOLDEN = {
 
 @pytest.mark.parametrize("order_mode", ["id", "random"])
 def test_vulnerability_study_golden_output(order_mode):
-    cells = vulnerability_study([20, 60], [0.05, 0.3], 3, 11, order_mode=order_mode)
+    cells = list(vulnerability_study([20, 60], [0.05, 0.3], 3, 11, order_mode=order_mode))
     assert study_to_csv(cells) == STUDY_GOLDEN[order_mode]
 
 
 def test_ratio_grows_with_density_at_fixed_n():
-    cells = vulnerability_study([100], [0.01, 0.1], samples=20, seed=7)
+    cells = list(vulnerability_study([100], [0.01, 0.1], samples=20, seed=7))
     assert cells[1].mean_ratio > cells[0].mean_ratio
 
 
@@ -282,9 +282,18 @@ def test_vulnerability_study_rejects_bad_arguments_before_any_cell(
         vulnerability_study(ns, ps, samples=2, seed=1, **options)
 
 
+def test_vulnerability_study_runs_no_cell_until_iterated(monkeypatch):
+    ran = []
+    monkeypatch.setattr(analysis, "_study_cell", ran.append)
+    cells = vulnerability_study([10, 20], [0.5], samples=2, seed=1)
+    assert ran == []
+    next(cells)
+    assert ran == [(10, 0.5, 2, 1, "id")]
+
+
 def test_vulnerability_study_parallel_matches_serial():
-    serial = vulnerability_study([12], [0.1, 0.3], samples=4, seed=9, workers=1)
-    parallel = vulnerability_study([12], [0.1, 0.3], samples=4, seed=9, workers=2)
+    serial = list(vulnerability_study([12], [0.1, 0.3], samples=4, seed=9, workers=1))
+    parallel = list(vulnerability_study([12], [0.1, 0.3], samples=4, seed=9, workers=2))
     assert study_to_csv(serial) == study_to_csv(parallel)
 
 

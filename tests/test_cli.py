@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -146,21 +148,95 @@ def test_coloring_caps_are_not_options(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("runner", ["min-coloring", "greedy", "batch"])
-@pytest.mark.parametrize(
-    "flags, levels",
-    [([], "1 2 3\n0\n"), (["--color-order", "ascending"], "0\n1 2 3\n")],
-)
-def test_schedule_color_order(tmp_path, capsys, runner, flags, levels):
-    # a star: the hub takes color 1 alone, the three leaves share color 2, so
-    # size-descending order puts the leaves first and color order the hub
+def write_star(tmp_path):
+    # a star: the hub takes color 1 alone, the three leaves share color 2
     hub = make_tx(0, writes={"h"})
     leaves = [make_tx(i, reads={"h"}, writes={f"w{i}"}) for i in (1, 2, 3)]
     path = tmp_path / "star.json"
     write_block_file(path, make_block([hub, *leaves]))
-    code, out, _ = run_cli(capsys, "schedule", str(path), "--runner", runner, *flags)
+    return str(path)
+
+
+@pytest.mark.parametrize("runner", ["min-coloring", "greedy", "batch"])
+@pytest.mark.parametrize("flags, levels", [([], "1 2 3\n0\n")])
+def test_schedule_color_order(tmp_path, capsys, runner, flags, levels):
+    # size-descending order puts the leaves first
+    code, out, _ = run_cli(capsys, "schedule", write_star(tmp_path), "--runner", runner, *flags)
     assert code == 0
     assert out.split("levels:\n")[1].split("block_latency")[0] == levels
+
+
+RUNNER_FLAGS = ["--runner", "--treat-epsilon-homogeneous"]
+GEN_FLAGS = [
+    "--out", "--n", "--keys", "--seed", "--length-mode", "--length-base", "--length-epsilon",
+    "--length-choices", "--conflict-p",
+]
+OPTION_SURFACE = {
+    "schedule": RUNNER_FLAGS,
+    "execute": ["--state", "--simulate", "--trace", *RUNNER_FLAGS],
+    "smr": ["--ledger", "--state", "--resume", "--max-blocks", *RUNNER_FLAGS],
+    "analyze": ["--ns", "--ps", "--samples", "--seed", "--order", "--workers", "--out"],
+    "oracle": ["--double-check"],
+    "conflicts": [],
+    "gen-block": [*GEN_FLAGS, "--chain"],
+    "gen-stream": [*GEN_FLAGS, "--blocks"],
+}
+
+
+def test_option_surface():
+    # every knob is listed here, so adding one takes a deliberate edit
+    assert [f.name for f in dataclasses.fields(replication.BlockRunner)] == ["name", "epsilon_cutoff"]
+    assert [f.name for f in dataclasses.fields(WorkloadSpec)] == [
+        "n_txs", "key_universe", "length_mode", "length_base", "length_epsilon",
+        "length_choices", "conflict_p", "seed",
+    ]
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for name, sub in commands.choices.items()
+    }
+    assert surface == OPTION_SURFACE
+
+
+@pytest.mark.parametrize("runner", ["min-coloring", "greedy", "batch"])
+def test_color_order_is_not_an_option(tmp_path, capsys, runner):
+    # the level order decides which of two conflicting transactions runs
+    # first, and no block or ledger records it, so it is fixed
+    with pytest.raises(SystemExit) as exc:
+        main(["schedule", write_star(tmp_path), "--runner", runner, "--color-order", "ascending"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --color-order ascending" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "runner, eps, message",
+    [
+        ("greedy", "-5", "only to the weighted-coloring runner, not 'greedy'"),
+        ("min-coloring", "0", "only to the weighted-coloring runner, not 'min-coloring'"),
+        ("weighted-coloring", "-1", "epsilon cutoff must be >= 0, got -1"),
+    ],
+)
+@pytest.mark.parametrize("command", ["schedule", "execute"])
+def test_meaningless_epsilon_cutoff_exits_2(chain_file, capsys, command, runner, eps, message):
+    code, stdout, err = run_cli(
+        capsys, command, chain_file, "--runner", runner, "--treat-epsilon-homogeneous", eps
+    )
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert stdout == ""
+
+
+def test_smr_with_a_meaningless_epsilon_cutoff_leaves_the_ledger(written_ledger, capsys):
+    before = written_ledger.read_bytes()
+    stream = written_ledger.parent / "stream.jsonl"
+    code, _, err = run_cli(
+        capsys, "smr", str(stream), "--ledger", str(written_ledger),
+        "--runner", "batch", "--treat-epsilon-homogeneous", "3",
+    )
+    assert code == 2
+    assert "only to the weighted-coloring runner" in err
+    assert written_ledger.read_bytes() == before
 
 
 @pytest.mark.parametrize("runner", ["min-coloring", "batch"])
@@ -280,7 +356,7 @@ def test_analyze_prints_each_row_once_its_cell_is_done(tmp_path, capsys, monkeyp
     assert printed_before_cell == [header, row20]
     assert rest == row30
     monkeypatch.setattr(analysis, "_study_cell", study_cell)
-    cells = analysis.vulnerability_study([20, 30], [0.1], samples=2, seed=7)
+    cells = list(analysis.vulnerability_study([20, 30], [0.1], samples=2, seed=7))
     assert out_csv.read_text() == analysis.study_to_csv(cells)
 
 
@@ -314,6 +390,38 @@ def test_analyze_rejects_bad_arguments_before_writing(tmp_path, capsys, flags, m
     assert message in err
     assert stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["analyze", "--ns", "10,x", "--ps", "0.1"], "--ns", "10,x"),
+        (["analyze", "--ns", "10", "--ps", "0.1,,y"], "--ps", "0.1,,y"),
+        (["gen-block", "--length-choices", "1,x"], "--length-choices", "1,x"),
+        (["gen-stream", "--length-choices", "1,x"], "--length-choices", "1,x"),
+    ],
+)
+def test_bad_list_item_is_a_usage_error(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and repr(value) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_list_flags_skip_empty_items(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    code, _, _ = run_cli(
+        capsys, "gen-block", "--out", str(out), "--n", "12", "--length-mode", "heterogeneous",
+        "--length-choices", ",5,,",
+    )
+    assert code == 0
+    assert {tx["length"] for tx in json.loads(out.read_text())["txs"]} == {5}
+    args = cli.build_parser().parse_args(["analyze", "--ns", "10,,20,", "--ps", ",0.5", "--out", "x"])
+    assert (args.ns, args.ps) == ([10, 20], [0.5])
 
 
 @pytest.mark.parametrize("command", ["schedule", "execute", "conflicts", "oracle"])

@@ -9,9 +9,7 @@ from blocksched.coloring import (
     EXACT_COLORING_CAP,
     EXACT_WEIGHTED_CAP,
     Coloring,
-    assert_legal,
     coloring_weight,
-    convert_to_coloring,
     descending_degree_order,
     dump_coloring,
     exact_min_coloring,
@@ -22,7 +20,7 @@ from blocksched.coloring import (
 )
 from blocksched.conflict import ConflictGraph, build_conflict_graph
 from blocksched.errors import CapacityError, ValidationError
-from blocksched.schedule import GraphSchedule
+from blocksched.schedule import GraphSchedule, convert_to_coloring, is_valid_schedule
 from blocksched.workload import WorkloadSpec, gen_block
 
 from conftest import (
@@ -379,6 +377,16 @@ def test_convert_flags_invalid_schedule():
     bogus = GraphSchedule(n=2, edges=frozenset())  # misses the conflict
     with pytest.raises(ValidationError):
         convert_to_coloring(bogus, g)
+    # the depth coloring (1, 1, 2) is legal for the conflict (0, 2), but no
+    # dependency path orders that pair, so the schedule is not valid
+    g = ConflictGraph(n=3, edges=frozenset({(0, 2)}))
+    unordered = GraphSchedule(n=3, edges=frozenset({(1, 2)}))
+    assert not is_valid_schedule(unordered, g)
+    assert convert_to_coloring(unordered).colors == (1, 1, 2)
+    with pytest.raises(ValidationError, match="^schedule is not valid for the conflict graph"):
+        convert_to_coloring(unordered, g)
+    with pytest.raises(ValidationError, match="^schedule is not valid for the conflict graph"):
+        convert_to_coloring(GraphSchedule(n=2, edges=frozenset()), g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -404,12 +412,6 @@ def test_coloring_type_checks_contiguous_colors():
 
 def test_partition_from_coloring_orders_by_color():
     assert partition_from_coloring(Coloring((2, 1, 2))) == ((1,), (0, 2))
-
-
-def test_assert_legal_names_offending_pair():
-    g = ConflictGraph(n=2, edges=frozenset({(0, 1)}))
-    with pytest.raises(ValidationError, match=r"\(0, 1\)"):
-        assert_legal(Coloring((1, 1)), g)
 
 
 def test_dump_coloring_format():

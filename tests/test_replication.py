@@ -197,14 +197,26 @@ def test_make_runner_rejects_unknown_name():
         make_runner("nope")
 
 
+# an epsilon cutoff means something only to weighted-coloring, and only when
+# it is not negative
+BAD_EPSILON_CUTOFFS = {
+    "order": (0, "only to the weighted-coloring runner, not 'order'"),
+    "greedy": (-5, "only to the weighted-coloring runner, not 'greedy'"),
+    "min-coloring": (0, "only to the weighted-coloring runner, not 'min-coloring'"),
+    "weighted-coloring": (-1, "epsilon cutoff must be >= 0, got -1"),
+    "batch": (3, "only to the weighted-coloring runner, not 'batch'"),
+}
+
+
 @pytest.mark.parametrize("name", RUNNER_NAMES)
-def test_unknown_color_order_is_rejected_before_the_ledger_is_touched(tmp_path, name):
+def test_bad_epsilon_cutoff_leaves_the_ledger_untouched(tmp_path, name):
+    cutoff, message = BAD_EPSILON_CUTOFFS[name]
     ledger = tmp_path / "ledger"
     blocks = gen_stream(stream_specs(3))
     run_main_loop(make_runner("greedy"), blocks, EMPTY, ledger)
     before = ledger.read_bytes()
-    with pytest.raises(ValidationError, match="unknown color order 'bogus'"):
-        run_main_loop(make_runner(name, color_order="bogus"), blocks, EMPTY, ledger)
+    with pytest.raises(ValidationError, match=message):
+        run_main_loop(make_runner(name, epsilon_cutoff=cutoff), blocks, EMPTY, ledger)
     assert ledger.read_bytes() == before
 
 

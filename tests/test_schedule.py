@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from blocksched.coloring import (
     Coloring,
-    convert_to_coloring,
     descending_degree_order,
     exact_min_coloring,
     greedy_coloring,
@@ -20,6 +19,7 @@ from blocksched.schedule import (
     _trusted_schedule,
     batch_latency,
     batch_to_graph,
+    convert_to_coloring,
     dump_levels,
     dump_schedule,
     is_valid_batch_schedule,

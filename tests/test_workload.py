@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -13,6 +14,7 @@ from blocksched.workload import (
     chain_block,
     gen_block,
     gen_commutative_block,
+    gen_commutative_stream,
     gen_stream,
     gnp_edges,
 )
@@ -87,12 +89,57 @@ def test_spec_validation():
         WorkloadSpec(n_txs=-1)
     with pytest.raises(ValidationError):
         WorkloadSpec(n_txs=1, length_mode="bogus")
-    with pytest.raises(ValidationError):
-        WorkloadSpec(n_txs=1, read_size=(2, 1))
-    with pytest.raises(ValidationError):
-        WorkloadSpec(n_txs=1, key_universe=2, write_size=(0, 3))
+    with pytest.raises(ValidationError, match="key_universe must be positive"):
+        WorkloadSpec(n_txs=1, key_universe=0)
+    # a transaction may read or write two keys
+    with pytest.raises(ValidationError, match="set sizes cannot exceed the key universe"):
+        WorkloadSpec(n_txs=1, key_universe=1)
+    WorkloadSpec(n_txs=1, key_universe=2)
     with pytest.raises(ValidationError):
         WorkloadSpec(n_txs=1, conflict_p=1.5)
+
+
+def _chain_digest(blocks):
+    """One digest over every block hash of a stream."""
+    return hashlib.sha256(b"".join(block_hash(b) for b in blocks)).hexdigest()
+
+
+# Golden block hashes: the generators' random draws, set sizes and program
+# kinds are pinned, so every generated block, stream and ledger stays the same.
+GEN_BLOCK_GOLDEN = [
+    (
+        dict(n_txs=16, key_universe=6, seed=1),
+        "af841cdd5714b3f0066b5db3d935dd528bc1ea295df99a313a1f3e5457d07b2e",
+    ),
+    (
+        dict(n_txs=16, key_universe=6, length_mode="epsilon", length_base=10, length_epsilon=3, seed=2),
+        "cb4c7bd1c454b7b129121351a35bd4b4649909b2d26a6af3f8df0a6709c124bc",
+    ),
+    (
+        dict(n_txs=16, key_universe=6, length_mode="heterogeneous", seed=3),
+        "301b54579a2c3de9d5b4a1b044d0a6e6f14c750b7bb784a973c42611b90fe320",
+    ),
+    (
+        dict(n_txs=16, conflict_p=0.3, length_mode="heterogeneous", seed=4),
+        "0dd56cc4b8a79c9863ffc7ce6ab654f368807c298f416cf43951678e3f7bfa32",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, expected", GEN_BLOCK_GOLDEN, ids=["homogeneous", "epsilon", "heterogeneous", "conflict-p"]
+)
+def test_gen_block_golden_hash(spec, expected):
+    assert block_hash(gen_block(WorkloadSpec(**spec))).hex() == expected
+
+
+def test_stream_golden_hashes():
+    assert _chain_digest(gen_commutative_stream(20, n=10, seed=10)) == (
+        "fa27a53c541a5d04b06209c95f09c65a325ef4b5a7928e738cde11bbbd5ba4c2"
+    )
+    assert _chain_digest(gen_stream([WorkloadSpec(n_txs=8, seed=s) for s in range(5)])) == (
+        "5f00ef51ab3200850bc3ad1d78b955a2da3dd99e0597966f6a39944a56708812"
+    )
 
 
 def test_commutative_block_is_executable_and_conflicted():
