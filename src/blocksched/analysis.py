@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import (
-    _check_permutation,
     descending_degree_order,
     exact_min_coloring,
     exact_min_weighted_coloring,
@@ -301,29 +300,21 @@ def connected_graph_catalog(max_n: int) -> list[ConflictGraph]:
 # Order-penalty estimation
 # ---------------------------------------------------------------------------
 
-def est_longest_path(g: ConflictGraph, order: Sequence[int] | None = None) -> int:
+def est_longest_path(g: ConflictGraph) -> int:
     """Heuristic lower bound on the longest simple path, in edges.
 
-    Dynamic program over the edges that respect the given vertex order
-    (default ascending id, the uninformed block-creator framing). Each
-    position relaxes only its own later neighbors, so the work is O(n + m).
+    Dynamic program over the edges directed by ascending vertex id, the order
+    a conflict-blind block creator gives. Plus one, it is the unit-length
+    latency of the ``order`` runner's schedule for a block listed in id
+    order. Each vertex relaxes only its higher-id neighbors, so the work is
+    O(n + m).
     """
-    n = g.n
-    if order is None:
-        order = pos = range(n)
-    else:
-        _check_permutation(order, n)
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-    lengths = [0] * n
-    neighbors = g.neighbors
-    for i in range(n):
-        base = lengths[i] + 1
-        for w in neighbors[order[i]]:
-            j = pos[w]
-            if j > i and base > lengths[j]:
-                lengths[j] = base
+    lengths = [0] * g.n
+    for v, nbrs in enumerate(g.neighbors):
+        base = lengths[v] + 1
+        for w in nbrs:
+            if w > v and base > lengths[w]:
+                lengths[w] = base
     return max(lengths, default=0)
 
 
@@ -354,8 +345,8 @@ class RatioSample:
         return self.est_longest_path_vertices / self.est_chromatic
 
 
-def ratio_sample(g: ConflictGraph, n: int, p: float, order: Sequence[int] | None = None) -> RatioSample:
-    path_edges = est_longest_path(g, order)
+def ratio_sample(g: ConflictGraph, n: int, p: float) -> RatioSample:
+    path_edges = est_longest_path(g)
     colors = greedy_coloring(g, descending_degree_order(g)).k if g.n else 1
     return RatioSample(
         n=n, p=p, est_longest_path_vertices=path_edges + 1, est_chromatic=max(colors, 1)
@@ -373,17 +364,12 @@ class StudyCell:
     seed: int
 
 
-def _study_cell(args: tuple[int, float, int, int, str]) -> StudyCell:
-    n, p, samples, seed, order_mode = args
+def _study_cell(args: tuple[int, float, int, int]) -> StudyCell:
+    n, p, samples, seed = args
     ratios = []
     for i in range(samples):
-        sample_seed = stable_seed(seed, n, p, i)
-        g = gnp_graph(n, p, sample_seed)
-        order = None
-        if order_mode == "random":
-            order = list(range(n))
-            random.Random(stable_seed(seed, n, p, i, "order")).shuffle(order)
-        ratios.append(ratio_sample(g, n, p, order).ratio)
+        g = gnp_graph(n, p, stable_seed(seed, n, p, i))
+        ratios.append(ratio_sample(g, n, p).ratio)
     return StudyCell(
         n=n,
         p=p,
@@ -401,10 +387,13 @@ def vulnerability_study(
     samples: int,
     seed: int,
     *,
-    order_mode: str = "id",
     workers: int = 1,
 ) -> Iterator[StudyCell]:
     """Mean estimated worst/best latency ratio over seeded random graphs.
+
+    Each graph is oriented by vertex id. G(n, p) gives every labeling the
+    same probability, so any order fixed without looking at the graph yields
+    the same ratio distribution, and one order is enough.
 
     The arguments are checked before any cell runs. Cells are yielded in
     ``(n, p)`` order, each once it and every cell before it are done. Per-cell
@@ -415,9 +404,7 @@ def vulnerability_study(
         raise ValidationError("samples must be >= 1")
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    if order_mode not in ("id", "random"):
-        raise ValidationError("order_mode must be 'id' or 'random'")
-    cells = [(n, p, samples, seed, order_mode) for n in ns for p in ps]
+    cells = [(n, p, samples, seed) for n in ns for p in ps]
     for n, p, *_ in cells:
         _check_gnp(n, p)
     if workers == 1:

@@ -149,7 +149,7 @@ def cmd_smr(args) -> int:
 
 def cmd_analyze(args) -> int:
     cells = analysis.vulnerability_study(
-        args.ns, args.ps, args.samples, args.seed, order_mode=args.order, workers=args.workers
+        args.ns, args.ps, args.samples, args.seed, workers=args.workers
     )
     # opened before the first cell runs; each row is written once its cell is done
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument("--samples", type=int, default=100)
     p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument("--order", choices=["id", "random"], default="id")
     p_an.add_argument("--workers", type=int, default=1)
     p_an.add_argument("--out", required=True, help="CSV output path")
     p_an.set_defaults(func=cmd_analyze)

@@ -197,8 +197,3 @@ def exact_min_weighted_coloring(g: ConflictGraph, lengths: Mapping[int, int]) ->
         )
     _check_lengths(lengths, g.n)
     return _min_weight_search(g, [lengths[v] for v in range(g.n)])
-
-
-def dump_coloring(coloring: Coloring) -> str:
-    """Lines ``id color``, sorted by id."""
-    return "".join(f"{v} {c}\n" for v, c in enumerate(coloring.colors))

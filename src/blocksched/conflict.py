@@ -23,6 +23,8 @@ class ConflictGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", frozenset(self.edges))
+        if self.n < 0:
+            raise ValidationError(f"n must be non-negative, got {self.n}")
         for u, v in self.edges:
             if not 0 <= u < v < self.n:
                 raise ValidationError(f"edge ({u}, {v}) is not canonical for n={self.n}")
@@ -48,9 +50,6 @@ class ConflictGraph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValidationError(f"vertex out of range for n={self.n}")
         return bool((self.adj_bits[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
 
 
 def _trusted_graph(n: int, edges: frozenset[tuple[int, int]]) -> ConflictGraph:

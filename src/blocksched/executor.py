@@ -63,7 +63,6 @@ class ExecutionOutcome:
 
     results: tuple[TxResult, ...]
     state_changes: dict[str, int]
-    emission_order: tuple[int, ...]
 
     def results_by_id(self) -> dict[int, TxResult]:
         return {r.tx_id: r for r in self.results}
@@ -101,9 +100,7 @@ def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -
         written_keys.update(written)
         results.append(TxResult(tx_id=tx.id, read_values=reads, written_values=written))
     changes = {k: store[k] for k in sorted(written_keys)}
-    return ExecutionOutcome(
-        results=tuple(results), state_changes=changes, emission_order=tuple(order)
-    )
+    return ExecutionOutcome(results=tuple(results), state_changes=changes)
 
 
 _INVALID_SCHEDULE = "invalid schedule: some conflicting pair has no dependency path"
@@ -248,11 +245,7 @@ class GraphExecutionHandle:
             tx_id, exc = self._failure
             raise InvariantError(f"tx {tx_id} raised {exc!r}; execution stopped") from exc
         changes = {k: self._overlay[k] for k in sorted(self._overlay)}
-        return ExecutionOutcome(
-            results=tuple(self._results),
-            state_changes=changes,
-            emission_order=tuple(r.tx_id for r in self._results),
-        )
+        return ExecutionOutcome(results=tuple(self._results), state_changes=changes)
 
 
 class _EarlyReleaseHandle(GraphExecutionHandle):
@@ -432,9 +425,6 @@ class DeterminismReport:
     ok: bool
     trials_run: int
     diff: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _outcome_diff(label: str, got: ExecutionOutcome, want: ExecutionOutcome) -> str | None:

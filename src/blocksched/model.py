@@ -219,16 +219,14 @@ class TxResult:
 def run_program(tx: Transaction, reads: Mapping[ObjectKey, int]) -> dict[ObjectKey, int]:
     """Evaluate a transaction's program against the given read values.
 
-    ``reads`` must cover exactly the declared read set (SLEEP_ONLY may also
-    receive an empty map). Pure: identical inputs give identical outputs.
+    ``reads`` must cover exactly the declared read set. Pure: identical
+    inputs give identical outputs.
     """
-    kind = tx.program.kind
-    if kind is ProgramKind.SLEEP_ONLY:
-        if reads and set(reads) != set(tx.read_set):
-            raise ValidationError(f"tx {tx.id}: reads do not match declared read set")
-        return {}
     if set(reads) != set(tx.read_set):
         raise ValidationError(f"tx {tx.id}: reads do not match declared read set")
+    kind = tx.program.kind
+    if kind is ProgramKind.SLEEP_ONLY:
+        return {}
     if kind is ProgramKind.WRITE_CONST:
         value = tx.program.const_value
         return {key: value for key in sorted(tx.write_set)}

@@ -377,6 +377,8 @@ def run_main_loop(
     that ends before every recorded block is replayed raises ValidationError.
     ``max_blocks`` stops after that many blocks (used to simulate a crash).
     """
+    if max_blocks is not None and max_blocks < 0:
+        raise ValidationError(f"max_blocks must be >= 0, got {max_blocks}")
     # the first block is read before the ledger is touched, so a stream that
     # cannot be opened or parsed leaves the ledger as it was
     blocks = iter(blocks)

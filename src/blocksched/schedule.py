@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 from .coloring import Coloring, _check_lengths
 from .conflict import ConflictGraph
 from .errors import ValidationError
-from .model import Block, Transaction
+from .model import Transaction
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,8 @@ class GraphSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", frozenset(self.edges))
+        if self.n < 0:
+            raise ValidationError(f"n must be non-negative, got {self.n}")
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValidationError(f"edge ({u}, {v}) out of range for n={self.n}")
@@ -265,9 +267,8 @@ def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> Grap
     return _trusted_schedule(g.n, frozenset(edges))
 
 
-def total_order_schedule(block: Block | Sequence[Transaction], g: ConflictGraph) -> GraphSchedule:
+def total_order_schedule(txs: Sequence[Transaction], g: ConflictGraph) -> GraphSchedule:
     """Baseline: direct every conflict edge by block list order, keeping all edges."""
-    txs = block.txs if isinstance(block, Block) else tuple(block)
     if len(txs) != g.n:
         raise ValidationError(f"block has {len(txs)} transactions, conflict graph has {g.n}")
     position = {tx.id: idx for idx, tx in enumerate(txs)}

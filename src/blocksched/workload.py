@@ -60,6 +60,8 @@ class WorkloadSpec:
             raise ValidationError("length_epsilon must be >= 0")
         if self.length_mode == "heterogeneous" and not self.length_choices:
             raise ValidationError("heterogeneous mode needs length_choices")
+        if any(c < 1 for c in self.length_choices):
+            raise ValidationError("length_choices must all be >= 1")
         if max(READ_SIZE[1], WRITE_SIZE[1]) > self.key_universe:
             raise ValidationError("set sizes cannot exceed the key universe")
         if self.conflict_p is not None and not 0.0 <= self.conflict_p <= 1.0:
@@ -225,6 +227,8 @@ def gen_commutative_block(n: int, *, seed: int = 0, seq: int = 0, prev_hash: byt
     write nothing, and all other effects touch private per-transaction keys.
     Useful wherever different schedulers must agree on the final state.
     """
+    if n < 0:
+        raise ValidationError("n must be non-negative")
     rng = random.Random(seed)
     shared = [f"s{i}" for i in range(SHARED_KEY_COUNT)]
     txs = []

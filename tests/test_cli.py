@@ -9,7 +9,7 @@ import pytest
 from blocksched import analysis, cli, executor, replication
 from blocksched.cli import main
 from blocksched.errors import ValidationError
-from blocksched.model import block_to_obj, write_block_file, write_stream_file
+from blocksched.model import GlobalState, block_to_obj, write_block_file, write_stream_file
 from blocksched.replication import BUILTIN_RUNNERS
 from blocksched.workload import WorkloadSpec, chain_block, gen_commutative_stream, gen_stream
 
@@ -175,7 +175,7 @@ OPTION_SURFACE = {
     "schedule": RUNNER_FLAGS,
     "execute": ["--state", "--simulate", "--trace", *RUNNER_FLAGS],
     "smr": ["--ledger", "--state", "--resume", "--max-blocks", *RUNNER_FLAGS],
-    "analyze": ["--ns", "--ps", "--samples", "--seed", "--order", "--workers", "--out"],
+    "analyze": ["--ns", "--ps", "--samples", "--seed", "--workers", "--out"],
     "oracle": ["--double-check"],
     "conflicts": [],
     "gen-block": [*GEN_FLAGS, "--chain"],
@@ -207,6 +207,17 @@ def test_color_order_is_not_an_option(tmp_path, capsys, runner):
         main(["schedule", write_star(tmp_path), "--runner", runner, "--color-order", "ascending"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --color-order ascending" in capsys.readouterr().err
+
+
+def test_analyze_order_is_not_an_option(tmp_path, capsys):
+    # G(n, p) gives every vertex labeling the same probability, so the study
+    # orients by id only: any order fixed apart from the graph reads the same
+    out = tmp_path / "study.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--ns", "10", "--ps", "0.1", "--order", "random", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order random" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -306,6 +317,25 @@ def test_smr_resume(tmp_path, capsys):
     code, resumed_out, _ = run_cli(capsys, "smr", str(stream), "--ledger", str(ledger), "--resume")
     assert code == 0
     assert resumed_out.strip() == full_out.strip()
+
+
+def test_smr_rejects_a_negative_max_blocks_before_touching_the_ledger(tmp_path, capsys):
+    stream = tmp_path / "stream.jsonl"
+    write_stream_file(stream, gen_stream([WorkloadSpec(n_txs=5, seed=i) for i in range(3)]))
+    ledger = tmp_path / "ledger"
+    code, _, _ = run_cli(capsys, "smr", str(stream), "--ledger", str(ledger))
+    assert code == 0
+    before = ledger.read_bytes()
+    code, out, err = run_cli(capsys, "smr", str(stream), "--ledger", str(ledger), "--max-blocks", "-1")
+    assert code == 2
+    assert "max_blocks must be >= 0" in err
+    assert out == ""
+    assert ledger.read_bytes() == before
+    # zero is a valid stop: an empty ledger and the initial state
+    code, out, _ = run_cli(capsys, "smr", str(stream), "--ledger", str(ledger), "--max-blocks", "0")
+    assert code == 0
+    assert ledger.read_bytes() == b""
+    assert out == f"final_state_digest {GlobalState().digest()}\n"
 
 
 def test_smr_halts_on_gap(tmp_path, capsys):
@@ -630,6 +660,20 @@ def test_generators_reject_negative_counts(tmp_path, capsys, argv, message):
     code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 2
     assert message in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gen_block_rejects_a_length_choice_below_one_for_every_seed(tmp_path, capsys, seed):
+    # the spec is refused whether or not the seed draws the bad choice
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(
+        capsys, "gen-block", "--out", str(out), "--n", "1", "--seed", str(seed),
+        "--length-mode", "heterogeneous", "--length-choices", "0,5",
+    )
+    assert code == 2
+    assert "length_choices must all be >= 1" in err
     assert stdout == ""
     assert not out.exists()
 

@@ -73,7 +73,7 @@ def test_graph_execution_independent_writers_any_arrival_order():
     s = GraphSchedule(n=8, edges=frozenset())
     out = execute_graph_schedule(block, s, EMPTY, jitter_seed=5, max_jitter_us=100)
     assert out.state_changes == {f"w{i}": i for i in range(8)}
-    assert sorted(out.emission_order) == list(range(8))
+    assert sorted(r.tx_id for r in out.results) == list(range(8))
 
 
 def test_graph_execution_matches_sequential_on_chain():

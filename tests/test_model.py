@@ -46,16 +46,17 @@ def test_sum_and_add_fanout():
 
 def test_sleep_only_touches_nothing():
     tx = make_tx(0, reads={"x"}, writes={"y"})
-    assert run_program(tx, {}) == {}
     assert run_program(tx, {"x": 5}) == {}
 
 
 def test_run_program_rejects_wrong_reads():
-    tx = make_tx(0, reads={"x"}, writes={"y"}, kind=ProgramKind.SUM_AND_ADD)
-    with pytest.raises(ValidationError):
-        run_program(tx, {"z": 1})
-    with pytest.raises(ValidationError):
-        run_program(tx, {})
+    # every kind, SLEEP_ONLY included, must receive exactly its declared reads
+    for kind in (ProgramKind.SUM_AND_ADD, ProgramKind.SLEEP_ONLY):
+        tx = make_tx(0, reads={"x"}, writes={"y"}, kind=kind)
+        with pytest.raises(ValidationError):
+            run_program(tx, {"z": 1})
+        with pytest.raises(ValidationError):
+            run_program(tx, {})
 
 
 def test_values_wrap_as_int64():
@@ -72,9 +73,8 @@ def test_values_wrap_as_int64():
 )
 def test_run_program_deterministic_and_bounded(reads, const, kind):
     tx = make_tx(0, reads=set(reads), writes={"w1", "w2"}, kind=kind, const=const)
-    args = {} if kind is ProgramKind.SLEEP_ONLY else reads
-    first = run_program(tx, args)
-    assert first == run_program(tx, args)
+    first = run_program(tx, reads)
+    assert first == run_program(tx, reads)
     assert set(first) <= tx.write_set
 
 

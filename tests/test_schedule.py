@@ -250,7 +250,7 @@ def test_total_order_chain_is_fully_sequential():
     for n in (2, 5, 9):
         block = chain_block(n)
         g = build_conflict_graph(block)
-        s = total_order_schedule(block, g)
+        s = total_order_schedule(block.txs, g)
         assert latency(s, lengths_of(block)) == n
 
 
@@ -258,7 +258,7 @@ def test_total_order_without_conflicts_is_empty():
     txs = [make_tx(i, writes={f"w{i}"}, length=3 + i) for i in range(3)]
     block = make_block(txs)
     g = build_conflict_graph(block)
-    s = total_order_schedule(block, g)
+    s = total_order_schedule(block.txs, g)
     assert s.edges == frozenset()
     assert latency(s, lengths_of(block)) == 5
 
@@ -267,14 +267,14 @@ def test_total_order_follows_list_positions_not_ids():
     block = chain_block(6)
     reordered = make_block([block.txs[i] for i in (0, 2, 4, 1, 3, 5)])
     g = build_conflict_graph(reordered)
-    s = total_order_schedule(reordered, g)
+    s = total_order_schedule(reordered.txs, g)
     assert latency(s, lengths_of(block)) == 2
 
 
 def test_total_order_keeps_all_conflict_edges():
     block = chain_block(5)
     g = build_conflict_graph(block)
-    s = total_order_schedule(block, g)
+    s = total_order_schedule(block.txs, g)
     assert len(s.edges) == len(g.edges)
 
 
@@ -396,7 +396,7 @@ def test_synthesized_schedules_are_valid(seed):
     part = size_descending_color_order(coloring)
     assert is_valid_schedule(level_schedule(part, g), g)
     txs = [make_tx(i, length=1) for i in range(n)]
-    assert is_valid_schedule(total_order_schedule(make_block(txs), g), g)
+    assert is_valid_schedule(total_order_schedule(txs, g), g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -450,7 +450,7 @@ def test_built_schedules_equal_checked_construction(n, universe, conflict_p, see
     g = build_conflict_graph(block)
     partition = partition_from_coloring(greedy_coloring(g, descending_degree_order(g)))
     _checked_equal(level_schedule(partition, g))
-    _checked_equal(total_order_schedule(block, g))
+    _checked_equal(total_order_schedule(block.txs, g))
     shuffled = list(block.txs)
     random.Random(seed).shuffle(shuffled)
     _checked_equal(total_order_schedule(shuffled, g))

@@ -5,9 +5,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blocksched.conflict import build_conflict_graph
+from blocksched.conflict import ConflictGraph, build_conflict_graph
 from blocksched.errors import ValidationError
 from blocksched.model import block_hash, block_to_text
+from blocksched.schedule import GraphSchedule
 from blocksched.workload import (
     WorkloadSpec,
     block_from_graph,
@@ -97,6 +98,22 @@ def test_spec_validation():
     WorkloadSpec(n_txs=1, key_universe=2)
     with pytest.raises(ValidationError):
         WorkloadSpec(n_txs=1, conflict_p=1.5)
+    with pytest.raises(ValidationError, match="length_choices must all be >= 1"):
+        WorkloadSpec(n_txs=1, length_mode="heterogeneous", length_choices=(0, 5))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GraphSchedule(n=-1, edges=frozenset()),
+        lambda: ConflictGraph(n=-2, edges=frozenset()),
+        lambda: gen_commutative_block(-3),
+    ],
+    ids=["graph-schedule", "conflict-graph", "commutative-block"],
+)
+def test_negative_sizes_are_rejected(make):
+    with pytest.raises(ValidationError, match="n must be non-negative"):
+        make()
 
 
 def _chain_digest(blocks):
