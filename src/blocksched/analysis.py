@@ -518,6 +518,8 @@ def hetero_counterexample_search(
     error. With ``homogeneous`` all lengths are 1, which serves as the
     control: no (a)-style gap can exist there.
     """
+    if n_max < 4:
+        raise ValidationError(f"n_max={n_max} is below the smallest searched block size 4")
     if n_max > ORACLE_CAP:
         raise CapacityError(f"n_max={n_max} exceeds the oracle cap {ORACLE_CAP}")
     report = CounterexampleReport()
@@ -539,8 +541,6 @@ def hetero_counterexample_search(
         chi = exact_min_coloring(g).k
         partitions = _min_color_partitions(g, chi, MAX_PARTITIONS)
 
-        overall_min = None
-        overall_max = None
         per_partition: list[tuple[int, int]] = []
         for partition in partitions:
             lats = []
@@ -548,10 +548,8 @@ def hetero_counterexample_search(
                 ordered = tuple(partition[i] for i in perm)
                 lats.append(latency(level_schedule(ordered, g), length_map))
             per_partition.append((min(lats), max(lats)))
-            overall_min = min(lats) if overall_min is None else min(overall_min, min(lats))
-            overall_max = max(lats) if overall_max is None else max(overall_max, max(lats))
-        if overall_min is None:
-            continue
+        overall_min = min(p_min for p_min, _ in per_partition)
+        overall_max = max(p_max for _, p_max in per_partition)
 
         if overall_max > overall_min:
             report.counts["a"] += 1
@@ -610,6 +608,8 @@ def homogeneous_reorder_witness_search(
 ) -> Witness | None:
     """Find a non-minimal partition of a homogeneous block where permuting the
     level order changes the latency."""
+    if n_max < 4:
+        raise ValidationError(f"n_max={n_max} is below the smallest searched block size 4")
     for trial in range(trials):
         rng = random.Random(stable_seed("reorder", seed, trial))
         n = rng.randint(4, n_max)

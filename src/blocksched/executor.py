@@ -21,7 +21,7 @@ The run fails fast: the first exception raised by a transaction body stops
 it, wakes every waiter, and makes ``outcome()`` raise ``InvariantError``
 chained to that exception. A partial outcome is never returned.
 
-The simulation only fixes finish order and times; its transactions run
+The simulation only fixes finish order; its transactions run
 through :func:`execute_sequential`, the reference oracle.
 
 Emission order of non-conflicting transactions is NOT part of the
@@ -35,7 +35,7 @@ import heapq
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .conflict import build_conflict_graph
@@ -113,8 +113,9 @@ class GraphExecutionHandle:
     returns the results in emission order with the merged state changes.
     With ``trace=True``, :attr:`trace` holds each transaction's
     ``(tx_id, start_ns, end_ns)`` once :meth:`outcome` has returned. The
-    handle does not validate the schedule: :func:`execute_graph_schedule`
-    and ``replication.plan_block`` check it before building one.
+    handle does not validate the schedule: :func:`execute_graph_schedule`,
+    :func:`stress_determinism` and ``replication.plan_block`` check it
+    before building one.
     """
 
     def __init__(
@@ -289,87 +290,28 @@ class BatchExecutionHandle(GraphExecutionHandle):
         self._batches = batches.batches
 
 
-def _checked_run(
-    handle_cls: type[GraphExecutionHandle],
-    is_valid: Callable[..., bool],
-    error: str,
-    block: Block,
-    schedule: GraphSchedule | BatchSchedule,
-    state: GlobalState,
-    **options,
+def execute_graph_schedule(
+    block: Block, schedule: GraphSchedule, state: GlobalState
 ) -> ExecutionOutcome:
-    """Check the schedule against the block's conflict graph, then run it to
-    its outcome on a new ``handle_cls``."""
-    if not is_valid(schedule, build_conflict_graph(block)):
-        raise ValidationError(error)
-    handle = handle_cls(block, schedule, state, **options)
+    """Run the block concurrently under a valid graph schedule (blocking)."""
+    if not is_valid_schedule(schedule, build_conflict_graph(block)):
+        raise ValidationError(_INVALID_SCHEDULE)
+    handle = GraphExecutionHandle(block, schedule, state)
     handle.start()
     return handle.outcome()
 
 
-def execute_graph_schedule(
-    block: Block,
-    schedule: GraphSchedule,
-    state: GlobalState,
-    *,
-    jitter_seed: int | None = None,
-    max_jitter_us: int = 0,
-) -> ExecutionOutcome:
-    """Run the block concurrently under a valid graph schedule (blocking)."""
-    return _checked_run(
-        GraphExecutionHandle,
-        is_valid_schedule,
-        _INVALID_SCHEDULE,
-        block,
-        schedule,
-        state,
-        jitter_seed=jitter_seed,
-        max_jitter_us=max_jitter_us,
-    )
-
-
-def execute_graph_schedule_broken(
-    block: Block,
-    schedule: GraphSchedule,
-    state: GlobalState,
-    *,
-    jitter_seed: int | None = None,
-    max_jitter_us: int = 0,
-) -> ExecutionOutcome:
-    """Deliberately defective executor that releases successors before
-    committing writes. Exists only as the negative control for determinism
-    tests."""
-    return _checked_run(
-        _EarlyReleaseHandle,
-        is_valid_schedule,
-        _INVALID_SCHEDULE,
-        block,
-        schedule,
-        state,
-        jitter_seed=jitter_seed,
-        max_jitter_us=max_jitter_us,
-    )
-
-
 def execute_batch_schedule(
-    block: Block,
-    batches: BatchSchedule,
-    state: GlobalState,
-    *,
-    jitter_seed: int | None = None,
-    max_jitter_us: int = 0,
+    block: Block, batches: BatchSchedule, state: GlobalState
 ) -> ExecutionOutcome:
     """Run the block batch by batch (blocking)."""
-    return _checked_run(
-        BatchExecutionHandle,
-        is_valid_batch_schedule,
-        "batches must partition the block's transaction ids into conflict-free batches",
-        block,
-        batches,
-        state,
-        jitter_seed=jitter_seed,
-        max_jitter_us=max_jitter_us,
-    )
+    if not is_valid_batch_schedule(batches, build_conflict_graph(block)):
+        raise ValidationError(
+            "batches must partition the block's transaction ids into conflict-free batches"
+        )
+    handle = BatchExecutionHandle(block, batches, state)
+    handle.start()
+    return handle.outcome()
 
 
 def simulate_execution(
@@ -399,13 +341,11 @@ def _simulate_checked(
         if remaining[v] == 0:
             heapq.heappush(heap, (lengths[v], v))
     order: list[int] = []
-    finish_at: dict[int, int] = {}
     makespan = 0
     while heap:
         finish, v = heapq.heappop(heap)
         makespan = max(makespan, finish)
         order.append(v)
-        finish_at[v] = finish
         for succ in schedule.succs[v]:
             ready_at[succ] = max(ready_at[succ], finish)
             remaining[succ] -= 1
@@ -416,8 +356,7 @@ def _simulate_checked(
         expected = latency(schedule, lengths)
         if makespan != expected:
             raise InvariantError(f"simulated makespan {makespan} != schedule latency {expected}")
-    timed = tuple(replace(r, finish_time=finish_at[r.tx_id]) for r in outcome.results)
-    return replace(outcome, results=timed), makespan
+    return outcome, makespan
 
 
 @dataclass(frozen=True)
@@ -452,26 +391,31 @@ def stress_determinism(
     *,
     max_jitter_us: int = 200,
     seed: int = 0,
-    executor: Callable[..., ExecutionOutcome] = execute_graph_schedule,
+    handle: Callable[..., GraphExecutionHandle] = GraphExecutionHandle,
 ) -> DeterminismReport:
     """Hammer the concurrent executor with adversarial sleeps.
 
-    Every trial must match the sequential reference over a topological order
-    of the schedule, both in final state and in every transaction's observed
-    reads and writes. Any mismatch produces a diff report.
+    The schedule is checked once; each trial then runs a new ``handle``
+    built with its own jitter seed. Every trial must match the sequential
+    reference over a topological order of the schedule, both in final state
+    and in every transaction's observed reads and writes. Any mismatch
+    produces a diff report.
     """
     if trials < 2:
         raise ValidationError("stress_determinism needs at least 2 trials")
+    if not is_valid_schedule(schedule, build_conflict_graph(block)):
+        raise ValidationError(_INVALID_SCHEDULE)
     baseline = execute_sequential(block, schedule.topo_order(), state)
     for trial in range(trials):
-        out = executor(
+        run = handle(
             block,
             schedule,
             state,
             jitter_seed=stable_seed(seed, trial),
             max_jitter_us=max_jitter_us,
         )
-        diff = _outcome_diff(f"trial {trial}", out, baseline)
+        run.start()
+        diff = _outcome_diff(f"trial {trial}", run.outcome(), baseline)
         if diff is not None:
             return DeterminismReport(ok=False, trials_run=trial + 1, diff=diff)
     return DeterminismReport(ok=True, trials_run=trials)

@@ -205,15 +205,11 @@ class GlobalState:
 
 @dataclass(frozen=True)
 class TxResult:
-    """Observed reads and produced writes of one executed transaction.
-
-    ``finish_time`` is populated only by the simulated executor.
-    """
+    """Observed reads and produced writes of one executed transaction."""
 
     tx_id: int
     read_values: dict[ObjectKey, int] = field(default_factory=dict)
     written_values: dict[ObjectKey, int] = field(default_factory=dict)
-    finish_time: int | None = None
 
 
 def run_program(tx: Transaction, reads: Mapping[ObjectKey, int]) -> dict[ObjectKey, int]:

@@ -128,7 +128,6 @@ class BatchSchedule:
 @dataclass(frozen=True)
 class LatencyReport:
     block_latency: int
-    per_tx_finish: dict[int, int]
     mean_latency: float
     p95_latency: int
 
@@ -194,13 +193,12 @@ def latency(s: GraphSchedule, lengths: Mapping[int, int]) -> int:
 
 def latency_stats(s: GraphSchedule, lengths: Mapping[int, int]) -> LatencyReport:
     if s.n == 0:
-        return LatencyReport(block_latency=0, per_tx_finish={}, mean_latency=0.0, p95_latency=0)
+        return LatencyReport(block_latency=0, mean_latency=0.0, p95_latency=0)
     finish = finish_times(s, lengths)
     ordered = sorted(finish)
     rank = max(1, -(-95 * s.n // 100))  # nearest-rank 95th percentile
     return LatencyReport(
         block_latency=ordered[-1],
-        per_tx_finish={v: finish[v] for v in range(s.n)},
         mean_latency=sum(finish) / s.n,
         p95_latency=ordered[rank - 1],
     )

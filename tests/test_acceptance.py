@@ -17,12 +17,12 @@ from blocksched.analysis import (
     transform_graph_to_block,
     vulnerability_study,
 )
+from blocksched import executor
 from blocksched.coloring import exact_min_coloring, partition_from_coloring
 from blocksched.conflict import build_conflict_graph
 from blocksched.executor import (
     execute_batch_schedule,
     execute_graph_schedule,
-    execute_graph_schedule_broken,
     simulate_execution,
     stress_determinism,
 )
@@ -129,7 +129,7 @@ def test_c03_sequential_determinism():
             EMPTY,
             trials=100,
             max_jitter_us=80,
-            executor=execute_graph_schedule_broken,
+            handle=executor._EarlyReleaseHandle,
         )
         if not report.ok:
             broken_caught = True

@@ -290,9 +290,15 @@ def test_concurrency_level_floor_domain():
 
 def test_hetero_search_finds_a_and_c_quickly():
     report = hetero_counterexample_search(n_max=7, trials=2000, seed=3)
-    assert report.found("a") and report.found("c")
+    assert report.found("a") and report.found("b") and report.found("c")
     for witness in report.witnesses.values():
         block_from_text(witness.block_text)  # serialized witness parses back
+
+
+@pytest.mark.parametrize("search", [hetero_counterexample_search, homogeneous_reorder_witness_search])
+def test_searches_reject_an_n_max_below_the_smallest_block(search):
+    with pytest.raises(ValidationError, match="n_max=3 is below the smallest searched block size 4"):
+        search(n_max=3, trials=2)
 
 
 def test_hetero_search_none_found_is_explicit():

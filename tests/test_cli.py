@@ -292,6 +292,15 @@ def test_execute_rejects_non_integer_state_values(chain_file, tmp_path, capsys, 
     assert err == "error: state file must be a JSON object mapping keys to integers\n"
 
 
+def test_execute_rejects_a_state_file_that_is_not_json(chain_file, tmp_path, capsys):
+    spath = tmp_path / "state.json"
+    spath.write_text("{not json")
+    code, out, err = run_cli(capsys, "execute", chain_file, "--state", str(spath))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state file: invalid JSON")
+
+
 def test_smr_digests_agree_across_runners(tmp_path, capsys):
     stream = tmp_path / "stream.jsonl"
     write_stream_file(stream, gen_commutative_stream(4, n=8, seed=2))

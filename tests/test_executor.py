@@ -10,10 +10,10 @@ from blocksched.coloring import descending_degree_order, greedy_coloring, partit
 from blocksched.errors import InvariantError, ValidationError
 from blocksched.executor import (
     MAX_WORKERS,
+    BatchExecutionHandle,
     GraphExecutionHandle,
     execute_batch_schedule,
     execute_graph_schedule,
-    execute_graph_schedule_broken,
     execute_sequential,
     simulate_execution,
     stress_determinism,
@@ -23,6 +23,7 @@ from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
     batch_to_graph,
+    finish_times,
     latency,
     level_schedule,
 )
@@ -71,7 +72,9 @@ def test_graph_execution_independent_writers_any_arrival_order():
     txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(8)]
     block = make_block(txs)
     s = GraphSchedule(n=8, edges=frozenset())
-    out = execute_graph_schedule(block, s, EMPTY, jitter_seed=5, max_jitter_us=100)
+    handle = GraphExecutionHandle(block, s, EMPTY, jitter_seed=5, max_jitter_us=100)
+    handle.start()
+    out = handle.outcome()
     assert out.state_changes == {f"w{i}": i for i in range(8)}
     assert sorted(r.tx_id for r in out.results) == list(range(8))
 
@@ -186,7 +189,11 @@ def test_simulate_matches_latency_and_sequential():
             ref_res = ref.results_by_id()[tx_id]
             assert res.read_values == ref_res.read_values
             assert res.written_values == ref_res.written_values
-        assert all(r.finish_time is not None for r in outcome.results)
+        # results come in finish order, ties broken by id
+        finish = finish_times(s, {tx.id: tx.length for tx in block.txs})
+        assert [r.tx_id for r in outcome.results] == sorted(
+            range(s.n), key=lambda v: (finish[v], v)
+        )
 
 
 def test_stress_determinism_chain():
@@ -210,12 +217,52 @@ def test_stress_determinism_requires_trials():
         stress_determinism(block, s, EMPTY, trials=1)
 
 
+def counting_handle():
+    built = []
+
+    def factory(*args, **kwargs):
+        built.append(kwargs)
+        return GraphExecutionHandle(*args, **kwargs)
+
+    return factory, built
+
+
+def test_stress_determinism_rejects_an_invalid_schedule_before_any_trial():
+    factory, built = counting_handle()
+    unordered = GraphSchedule(n=2, edges=frozenset())
+    with pytest.raises(ValidationError) as info:
+        stress_determinism(writer_reader_block(), unordered, EMPTY, trials=5, handle=factory)
+    assert str(info.value) == executor._INVALID_SCHEDULE
+    assert built == []
+
+
+def test_stress_determinism_builds_one_handle_per_trial():
+    factory, built = counting_handle()
+    block = chain_block(6)
+    s = level_schedule([(0, 2, 4), (1, 3, 5)], build_conflict_graph(block))
+    report = stress_determinism(block, s, EMPTY, trials=7, max_jitter_us=50, seed=3, handle=factory)
+    assert report.ok and report.trials_run == 7
+    assert built == [
+        {"jitter_seed": stable_seed(3, trial), "max_jitter_us": 50} for trial in range(7)
+    ]
+
+
+def test_blocking_entry_points_take_no_jitter_options():
+    block = writer_reader_block()
+    s = GraphSchedule(n=2, edges=frozenset({(0, 1)}))
+    with pytest.raises(TypeError):
+        execute_graph_schedule(block, s, EMPTY, jitter_seed=1)
+    with pytest.raises(TypeError):
+        execute_batch_schedule(block, BatchSchedule(((0,), (1,))), EMPTY, max_jitter_us=1)
+    assert not hasattr(executor, "execute_graph_schedule_broken")
+
+
 def test_broken_executor_is_caught():
     block = chain_block(8)
     g = build_conflict_graph(block)
     s = level_schedule([(0, 2, 4, 6), (1, 3, 5, 7)], g)
     report = stress_determinism(
-        block, s, EMPTY, trials=60, max_jitter_us=200, executor=execute_graph_schedule_broken
+        block, s, EMPTY, trials=60, max_jitter_us=200, handle=executor._EarlyReleaseHandle
     )
     assert not report.ok
     assert report.diff
@@ -288,11 +335,9 @@ def test_batch_engine_matches_sequential_under_jitter():
     # C3 runs every runner's plan on the graph engine (batches become
     # batch_to_graph edges); this drives the barrier engine itself
     def without_barrier(block, schedule, state, **jitter):
-        handle = GraphExecutionHandle(
+        return GraphExecutionHandle(
             block, GraphSchedule(n=schedule.n, edges=frozenset()), state, **jitter
         )
-        handle.start()
-        return handle.outcome()
 
     missing_barrier_caught = False
     for i in range(8):
@@ -310,17 +355,17 @@ def test_batch_engine_matches_sequential_under_jitter():
         )
 
         def run_batches(block, schedule, state, **jitter):
-            return execute_batch_schedule(block, batches, state, **jitter)
+            return BatchExecutionHandle(block, batches, state, **jitter)
 
         baseline = batch_to_graph(batches)
         report = stress_determinism(
-            block, baseline, EMPTY, trials=25, max_jitter_us=80, seed=i, executor=run_batches
+            block, baseline, EMPTY, trials=25, max_jitter_us=80, seed=i, handle=run_batches
         )
         assert report.ok, report.diff
         if not missing_barrier_caught:
             missing_barrier_caught = not stress_determinism(
                 block, baseline, EMPTY, trials=25, max_jitter_us=80, seed=i,
-                executor=without_barrier,
+                handle=without_barrier,
             ).ok
     # negative control: the same jitter exposes a run that skips the barrier
     assert missing_barrier_caught

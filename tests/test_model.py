@@ -14,6 +14,7 @@ from blocksched.model import (
     ProgramKind,
     Transaction,
     TxProgram,
+    TxResult,
     block_from_obj,
     block_from_text,
     block_hash,
@@ -547,3 +548,11 @@ def test_transaction_and_program_are_slotted_and_frozen():
             assert hash(clone) == hash(original)
             assert type(clone) is type(original)
 
+
+
+def test_tx_result_holds_only_what_was_observed():
+    assert [f.name for f in dataclasses.fields(TxResult)] == [
+        "tx_id",
+        "read_values",
+        "written_values",
+    ]

@@ -15,6 +15,7 @@ from blocksched.replication import (
     GraphPlan,
     Ledger,
     TxError,
+    make_record,
     make_runner,
     plan_block,
     process_block,
@@ -397,6 +398,31 @@ def test_ledger_detects_corruption(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ParseError):
         Ledger(path).load()
+
+
+def test_ledger_rejects_an_edited_record_of_valid_length(tmp_path):
+    blocks = gen_stream(stream_specs(3, n=4))
+    path = tmp_path / "ledger"
+    run_main_loop(make_runner("min-coloring"), blocks, EMPTY, path)
+    full = path.read_bytes()
+    start = record_offsets(full)[1]
+    at = full.index(b'"block_hash":"', start) + len(b'"block_hash":"')
+    raw = bytearray(full)
+    raw[at] = ord("0") if raw[at] != ord("0") else ord("1")  # still one hex digit
+    path.write_bytes(bytes(raw))
+    for read in (Ledger(path).load, Ledger(path).recover):
+        with pytest.raises(ParseError, match="ledger record 1: digest chain broken"):
+            read()
+        assert path.read_bytes() == bytes(raw)
+
+
+def test_ledger_rejects_a_sequence_gap(tmp_path):
+    ledger = Ledger(tmp_path / "ledger")
+    first = make_record(Ledger.GENESIS_DIGEST, 0, "h0", "r0", "s0")
+    ledger.append(first)
+    ledger.append(make_record(first.record_digest, 2, "h2", "r2", "s2"))
+    with pytest.raises(ParseError, match="ledger record 1: sequence gap"):
+        ledger.load()
 
 
 def record_offsets(raw):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -22,6 +23,7 @@ from blocksched.schedule import (
     convert_to_coloring,
     dump_levels,
     dump_schedule,
+    finish_times,
     is_valid_batch_schedule,
     is_valid_schedule,
     latency,
@@ -362,10 +364,15 @@ def test_size_descending_equal_sizes_keep_color_order():
 def test_latency_stats_two_vertex_path():
     s = GraphSchedule(n=2, edges=frozenset({(0, 1)}))
     report = latency_stats(s, {0: 1, 1: 1})
-    assert report.per_tx_finish == {0: 1, 1: 2}
+    assert finish_times(s, {0: 1, 1: 1}) == [1, 2]
     assert report.block_latency == 2
     assert report.mean_latency == pytest.approx(1.5)
     assert report.p95_latency == 2
+    assert [f.name for f in dataclasses.fields(report)] == [
+        "block_latency",
+        "mean_latency",
+        "p95_latency",
+    ]
 
 
 def test_latency_stats_wide_vs_narrow_first_level():
@@ -382,7 +389,7 @@ def test_latency_stats_wide_vs_narrow_first_level():
 def test_latency_stats_no_edges_finish_at_own_length():
     s = GraphSchedule(n=3, edges=frozenset())
     report = latency_stats(s, {0: 3, 1: 9, 2: 4})
-    assert report.per_tx_finish == {0: 3, 1: 9, 2: 4}
+    assert finish_times(s, {0: 3, 1: 9, 2: 4}) == [3, 9, 4]
     assert report.block_latency == 9
 
 

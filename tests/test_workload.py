@@ -100,6 +100,12 @@ def test_spec_validation():
         WorkloadSpec(n_txs=1, conflict_p=1.5)
     with pytest.raises(ValidationError, match="length_choices must all be >= 1"):
         WorkloadSpec(n_txs=1, length_mode="heterogeneous", length_choices=(0, 5))
+    with pytest.raises(ValidationError, match="length_base must be >= 1"):
+        WorkloadSpec(n_txs=1, length_base=0)
+    with pytest.raises(ValidationError, match="length_epsilon must be >= 0"):
+        WorkloadSpec(n_txs=1, length_epsilon=-1)
+    with pytest.raises(ValidationError, match="heterogeneous mode needs length_choices"):
+        WorkloadSpec(n_txs=1, length_mode="heterogeneous", length_choices=())
 
 
 @pytest.mark.parametrize(
