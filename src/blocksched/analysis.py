@@ -326,7 +326,7 @@ def _check_gnp(n: int, p: float) -> None:
 
 
 def gnp_graph(n: int, p: float, seed: int) -> ConflictGraph:
-    """Seeded Erdos-Renyi style graph: each pair is an edge with probability p."""
+    """Seeded G(n, p) graph: one ``gnp_edges`` draw from ``random.Random(seed)``."""
     _check_gnp(n, p)
     return _trusted_graph(n, gnp_edges(random.Random(seed), n, p))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations
 
 from .conflict import ConflictGraph, _trusted_graph
 from .errors import ValidationError
@@ -34,8 +34,8 @@ class WorkloadSpec:
     ``length_mode`` picks constant lengths (homogeneous), lengths within
     ``length_epsilon`` of the base (epsilon), or draws from
     ``length_choices`` (heterogeneous). With ``conflict_p`` set, the conflict
-    graph is drawn edge by edge with that probability and realized through
-    per-edge shared keys, so the produced density is exactly binomial.
+    graph is one G(n, p) draw with that p (``gnp_edges``), realized through
+    per-edge shared keys, so the edge count is exactly binomial.
     """
 
     n_txs: int
@@ -69,51 +69,41 @@ class WorkloadSpec:
 
 
 def gnp_edges(rng: random.Random, n: int, p: float) -> frozenset[tuple[int, int]]:
-    """Edges of one G(n, p) draw: each pair (u, v) with u < v, in lexicographic
-    order, takes exactly one ``rng.random()`` and is an edge when it falls
-    below p. Every seeded graph drawer goes through this one function, so the
-    random stream after the call is the same wherever it is used.
+    """Edges (u, v), u < v, of one G(n, p) draw: each of the n(n-1)/2 pairs is
+    an edge with probability p, independently of the others. Every seeded
+    graph drawer goes through this one function.
 
-    The draws are read in bulk and give the same edges and the same ``rng``
-    state as calling ``rng.random()`` once per pair. This rests on two
-    properties of CPython's Mersenne Twister ``random.Random``:
+    Geometric edge skipping (Batagelj & Brandes, "Efficient generation of
+    large random networks", Phys. Rev. E 71, 2005): the pairs are walked in a
+    fixed order, and the number of non-edges before the next edge is drawn
+    as ``int(log(1 - rng.random()) / log1p(-p))``, which is geometric with
+    P(gap >= k) = (1 - p)**k. A draw takes m + 1 calls to ``rng.random()``
+    for m edges (none for n < 2), instead of one per pair. The walk stops at
+    the first gap past the last pair; at a subnormal p that gap is infinite.
 
-    - ``random()`` takes the next two 32-bit words w0, w1 and returns
-      k / 2**53 with k = (w0 >> 5) * 2**26 + (w1 >> 6);
-    - ``getrandbits(64 * m).to_bytes(8 * m, "little")`` holds exactly the
-      next 2m words, in order, each little-endian.
-
-    So a row's m draws come from one ``getrandbits`` call, and
-    ``random() < p`` holds exactly when k < ceil(min(p, 1) * 2**53). Since
-    k >> 45 is the top byte of w0, that byte alone decides every draw except
-    those whose top byte equals the limit's, which are checked on all 53 bits.
+    The same ``rng`` state gives the same edges and leaves the same state.
+    p <= 0 and NaN give no edges and p >= 1 every pair; neither draws.
     """
-    limit = math.ceil(min(p, 1.0) * 2**53) if p > 0 else 0  # 0 for NaN as well
-    top = limit >> 45
-    # certain[b] is 1 when every draw whose top byte is b falls below the limit
-    certain = b"\x01" * top + b"\x00" * (256 - top)
-    ids = tuple(range(n))
+    if not p > 0.0:  # NaN as well
+        return frozenset()
+    if p >= 1.0:
+        return frozenset(combinations(range(n), 2))
+    log_q = math.log1p(-p)
+    pairs = n * (n - 1) // 2
+    draw, log = rng.random, math.log
     edges = []
-    for u in range(n - 1):
-        m = n - u - 1
-        words = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
-        tops = words[3::8]
-        hits = tops.translate(certain)
-        # a Python loop per edge on sparse rows, a C pass over the row on dense ones
-        if hits.count(1) * 16 > m:
-            edges += [(u, v) for v in compress(ids[u + 1 :], hits)]
-        else:
-            i = hits.find(1)
-            while i >= 0:
-                edges.append((u, u + 1 + i))
-                i = hits.find(1, i + 1)
-        if top < 256:
-            i = tops.find(top)
-            while i >= 0:
-                w = int.from_bytes(words[8 * i : 8 * i + 8], "little")  # w1 << 32 | w0
-                if ((w & 0xFFFFFFFF) >> 5 << 26 | w >> 38) < limit:
-                    edges.append((u, u + 1 + i))
-                i = tops.find(top, i + 1)
+    # pairs (w, v), w < v, in order of v, then of w
+    v, w = 1, -1
+    while v < n:
+        gap = log(1.0 - draw()) / log_q
+        if gap >= pairs:  # past every remaining pair, and never int(inf)
+            break
+        w += 1 + int(gap)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((w, v))
     return frozenset(edges)
 
 

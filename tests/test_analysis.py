@@ -222,10 +222,10 @@ def test_vulnerability_study_shapes_and_determinism():
 
 STUDY_GOLDEN = (
     "n,p,samples,mean_ratio,min_ratio,max_ratio,seed\n"
-    "20,0.05,3,1.3333333333333333,1.0,1.6666666666666667,11\n"
-    "20,0.3,3,1.6166666666666665,1.5,1.75,11\n"
-    "60,0.05,3,2.25,1.75,2.5,11\n"
-    "60,0.3,3,2.4037037037037035,2.1,2.5555555555555554,11\n"
+    "20,0.05,3,1.1666666666666667,1.0,1.5,11\n"
+    "20,0.3,3,1.6666666666666667,1.4,2.0,11\n"
+    "60,0.05,3,2.0555555555555554,1.5,2.6666666666666665,11\n"
+    "60,0.3,3,2.6296296296296298,2.4444444444444446,2.888888888888889,11\n"
 )
 
 

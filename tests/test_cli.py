@@ -377,6 +377,17 @@ def test_analyze_p_zero_and_reproducible(tmp_path, capsys):
     assert out_csv.read_bytes() == first
 
 
+def test_analyze_at_a_subnormal_p(tmp_path, capsys):
+    # at p = 1e-320 the drawer's first gap is infinite
+    out_csv = tmp_path / "out.csv"
+    code, _, _ = run_cli(
+        capsys, "analyze", "--ns", "10", "--ps", "1e-320", "--samples", "2",
+        "--seed", "1", "--out", str(out_csv),
+    )
+    assert code == 0
+    assert out_csv.read_text().splitlines()[1] == "10,1e-320,2,1.0,1.0,1.0,1"
+
+
 def test_analyze_prints_each_row_once_its_cell_is_done(tmp_path, capsys, monkeypatch):
     printed_before_cell = []
     study_cell = analysis._study_cell

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import statistics
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,8 +22,6 @@ from blocksched.workload import (
     gnp_edges,
 )
 from blocksched.analysis import gnp_graph
-
-from conftest import random_graph
 
 
 def test_chain_block_is_a_path():
@@ -144,7 +144,7 @@ GEN_BLOCK_GOLDEN = [
     ),
     (
         dict(n_txs=16, conflict_p=0.3, length_mode="heterogeneous", seed=4),
-        "0dd56cc4b8a79c9863ffc7ce6ab654f368807c298f416cf43951678e3f7bfa32",
+        "a71a2af390bd1a1f253c23ee69170ca3de4ecaa5305281b72afa5364769c76b5",
     ),
 ]
 
@@ -171,50 +171,81 @@ def test_commutative_block_is_executable_and_conflicted():
     assert g.edges  # conflicts are present, not a degenerate workload
 
 
-def test_gnp_edges_matches_the_independent_drawer():
-    # same edges and the same rng state after the call, so every caller
-    # keeps its random stream
-    for seed in range(50):
-        for n, p in [(0, 0.5), (1, 0.5), (7, 0.0), (12, 1.0), (30, 0.1), (40, 0.5)]:
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert gnp_edges(ours, n, p) == random_graph(theirs, n, p).edges
-            assert ours.random() == theirs.random()
+class _CountingRandom(random.Random):
+    """``random.Random`` that counts its ``random()`` calls."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
 
 
-# Probabilities at the edges of the drawer's exact arithmetic: at and around a
-# boundary of the top byte it classifies on (j / 256), single units of 2**-53,
-# a hair on either side of 1/2, tiny, out of range, infinite and NaN.
-_EDGE_PS = [j / 256 for j in (1, 2, 13, 128, 255)] + [
-    2**-53,
-    3 * 2**-53,
-    13 * 2**45 * 2**-53,
-    (13 * 2**45 + 1) * 2**-53,
-    (13 * 2**45 - 1) * 2**-53,
-    0.5 + 2**-30,
-    0.5 - 2**-30,
-    1e-9,
-    -0.25,
-    -math.inf,
-    1.5,
-    math.inf,
-    math.nan,
-]
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_gnp_edges_each_pair_is_an_edge_with_probability_p(p):
+    n, seeds = 6, 2000
+    draws = [gnp_edges(random.Random(seed), n, p) for seed in range(seeds)]
+    sigma = math.sqrt(p * (1 - p) / seeds)
+    for pair in combinations(range(n), 2):
+        freq = sum(pair in edges for edges in draws) / seeds
+        assert abs(freq - p) <= 5 * sigma, pair
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32),
-    n=st.integers(0, 300),
-    p=st.sampled_from(_EDGE_PS + ["first-draw", "above-first-draw"]),
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_gnp_edges_pairs_are_independent(p):
+    # every two of the 15 pairs: neighbours in the walk order, pairs a row
+    # apart and pairs that share a vertex
+    n, seeds = 6, 2000
+    draws = [gnp_edges(random.Random(seed), n, p) for seed in range(seeds)]
+    sigma = math.sqrt(p * p * (1 - p * p) / seeds)
+    for a, b in combinations(combinations(range(n), 2), 2):
+        freq = sum(a in edges and b in edges for edges in draws) / seeds
+        assert abs(freq - p * p) <= 5 * sigma, (a, b)
+
+
+@pytest.mark.parametrize("p", [0.02, 0.2])
+def test_gnp_edges_count_is_binomial(p):
+    n, seeds = 200, 500
+    pairs = n * (n - 1) // 2
+    counts = [len(gnp_edges(random.Random(seed), n, p)) for seed in range(seeds)]
+    var = pairs * p * (1 - p)
+    assert abs(statistics.fmean(counts) - pairs * p) <= 5 * math.sqrt(var / seeds)
+    # the sample variance's relative standard error is about sqrt(2 / (seeds - 1))
+    assert abs(statistics.variance(counts) / var - 1) <= 5 * math.sqrt(2 / (seeds - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(0, 60), p=st.floats())
+@example(seed=1, n=60, p=5e-324)  # the first gap is infinite
+def test_gnp_edges_is_deterministic_and_draws_once_per_edge(seed, n, p):
+    ours, again = _CountingRandom(seed), _CountingRandom(seed)
+    edges = gnp_edges(ours, n, p)
+    assert all(0 <= u < v < n for u, v in edges)
+    # one draw per edge and one past the last pair; none without a random pair
+    assert ours.calls == (len(edges) + 1 if 0 < p < 1 and n >= 2 else 0)
+    assert gnp_edges(again, n, p) == edges
+    assert ours.random() == again.random()
+
+
+@pytest.mark.parametrize(
+    "p, complete",
+    [
+        (-0.25, False),
+        (-math.inf, False),
+        (math.nan, False),
+        (0.0, False),
+        (1.5, True),
+        (math.inf, True),
+        (1.0, True),
+        (math.nextafter(1.0, 0.0), True),
+        (2**-53, False),
+        (1e-9, False),
+        (1e-320, False),  # subnormal: the gap is infinite, and int() of it would raise
+        (5e-324, False),
+    ],
 )
-@example(seed=7, n=2, p="first-draw")
-@example(seed=7, n=2, p="above-first-draw")
-@example(seed=11, n=300, p="first-draw")
-def test_gnp_edges_matches_the_independent_drawer_at_edge_probabilities(seed, n, p):
-    if p == "first-draw":  # the pair (0, 1) draws exactly p, which is not below p
-        p = random.Random(seed).random()
-    elif p == "above-first-draw":  # the next float up: (0, 1) is an edge
-        p = math.nextafter(random.Random(seed).random(), 1.0)
-    ours, theirs = random.Random(seed), random.Random(seed)
-    assert gnp_edges(ours, n, p) == random_graph(theirs, n, p).edges
-    assert ours.random() == theirs.random()
+def test_gnp_edges_at_extreme_probabilities(p, complete):
+    for n in (0, 1, 2, 40):
+        expected = frozenset(combinations(range(n), 2)) if complete else frozenset()
+        for seed in range(20):
+            assert gnp_edges(random.Random(seed), n, p) == expected
