@@ -23,7 +23,7 @@ from .coloring import (
     greedy_coloring,
     partition_from_coloring,
 )
-from .conflict import ConflictGraph, _trusted_graph, build_conflict_graph
+from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ValidationError
 from .model import Block, block_to_text, stable_seed
 from .schedule import GraphSchedule, _set_bits, latency, level_schedule
@@ -197,7 +197,7 @@ def optimal_latency_all_orientations(block: Block) -> int:
     lengths = [tx.length for tx in sorted(block.txs, key=lambda t: t.id)]
     if n == 0:
         return 0
-    edges = sorted(g.edges)
+    edges = list(g.iter_edges())
     best = None
     for perm in itertools.permutations(range(n)):
         pos = [0] * n
@@ -328,7 +328,7 @@ def _check_gnp(n: int, p: float) -> None:
 def gnp_graph(n: int, p: float, seed: int) -> ConflictGraph:
     """Seeded G(n, p) graph: one ``gnp_edges`` draw from ``random.Random(seed)``."""
     _check_gnp(n, p)
-    return _trusted_graph(n, gnp_edges(random.Random(seed), n, p))
+    return gnp_edges(random.Random(seed), n, p)
 
 
 @dataclass(frozen=True)
@@ -528,10 +528,9 @@ def hetero_counterexample_search(
         rng = random.Random(stable_seed(seed, trial))
         n = rng.randint(4, n_max)
         p = rng.uniform(0.25, 0.75)
-        edges = gnp_edges(rng, n, p)
-        if not edges:
+        g = gnp_edges(rng, n, p)
+        if not any(g.neighbors):
             continue
-        g = _trusted_graph(n, edges)
         if homogeneous:
             lengths = [1] * n
         else:
@@ -614,10 +613,9 @@ def homogeneous_reorder_witness_search(
         rng = random.Random(stable_seed("reorder", seed, trial))
         n = rng.randint(4, n_max)
         p = rng.uniform(0.3, 0.7)
-        edges = gnp_edges(rng, n, p)
-        if not edges:
+        g = gnp_edges(rng, n, p)
+        if not any(g.neighbors):
             continue
-        g = _trusted_graph(n, edges)
         chi = exact_min_coloring(g).k
         order = list(range(n))
         rng.shuffle(order)

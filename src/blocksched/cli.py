@@ -175,7 +175,7 @@ def cmd_oracle(args) -> int:
 def cmd_conflicts(args) -> int:
     block = read_block_file(args.block_file)
     g = build_conflict_graph(block)
-    print(f"{g.n} {len(g.edges)}")
+    print(f"{g.n} {sum(map(len, g.neighbors)) // 2}")
     print(dump_edges(g), end="")
     return EXIT_OK
 

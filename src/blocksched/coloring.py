@@ -47,7 +47,7 @@ class Coloring:
 def is_legal(coloring: Coloring, g: ConflictGraph) -> bool:
     if len(coloring.colors) != g.n:
         return False
-    return all(coloring.colors[u] != coloring.colors[v] for u, v in g.edges)
+    return all(coloring.colors[u] != coloring.colors[v] for u, v in g.iter_edges())
 
 
 def partition_from_coloring(coloring: Coloring) -> tuple[tuple[int, ...], ...]:

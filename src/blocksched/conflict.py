@@ -1,7 +1,8 @@
 """Pairwise conflict relation and the undirected conflict graph of a block.
 
 Two transactions conflict when one's write set intersects the other's read
-or write set. Adjacency is kept sorted so all downstream iteration is
+or write set. A graph stores one thing, its sorted neighbour rows, and
+derives every other view from them, so all downstream iteration is
 deterministic regardless of build order.
 """
 
@@ -9,56 +10,74 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import ValidationError
 from .model import Block, Transaction, validate_block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConflictGraph:
-    """Undirected graph over transaction ids 0..n-1; edges stored as (i, j) with i < j."""
+    """Undirected graph over transaction ids 0..n-1.
+
+    Stored: ``neighbors``, one ascending tuple of neighbour ids per vertex;
+    the rows are symmetric and have no self-loops. Derived from the rows and
+    cached on first use: ``edges``, the frozenset of pairs (u, v) with u < v,
+    and ``adj_bits``, one bitset row per vertex. Graphs are equal, and hash
+    alike, when they have the same n and the same edge set.
+
+    ``ConflictGraph(n, edges)`` checks every edge. The producers
+    (``build_conflict_graph`` and ``workload.gnp_edges``) build the rows
+    directly and hand them to ``_of_rows``, unchecked.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    neighbors: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 0:
-            raise ValidationError(f"n must be non-negative, got {self.n}")
-        for u, v in self.edges:
-            if not 0 <= u < v < self.n:
-                raise ValidationError(f"edge ({u}, {v}) is not canonical for n={self.n}")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        if n < 0:
+            raise ValidationError(f"n must be non-negative, got {n}")
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in frozenset(edges):
+            if not 0 <= u < v < n:
+                raise ValidationError(f"edge ({u}, {v}) is not canonical for n={n}")
+            rows[u].append(v)
+            rows[v].append(u)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "neighbors", tuple(tuple(sorted(row)) for row in rows))
+
+    @classmethod
+    def _of_rows(cls, rows: list[list[int]]) -> ConflictGraph:
+        """The graph over ``len(rows)`` vertices whose rows are ``rows``, which
+        the caller built ascending, symmetric and free of self-loops."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(rows))
+        object.__setattr__(g, "neighbors", tuple(map(tuple, rows)))
+        return g
+
+    def iter_edges(self) -> Iterator[tuple[int, int]]:
+        """Each edge once, as (u, v) with u < v, in lexicographic order: the
+        upper half of each row. Builds no set."""
+        return ((u, v) for u, row in enumerate(self.neighbors) for v in row if v > u)
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.iter_edges())
 
     @cached_property
     def adj_bits(self) -> tuple[int, ...]:
-        # bitset adjacency rows; cheap to keep alongside the lists
-        bits = [0] * self.n
-        for u, v in self.edges:
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
+        bits = []
+        for row in self.neighbors:
+            b = 0
+            for u in row:
+                b |= 1 << u
+            bits.append(b)
         return tuple(bits)
 
     def are_adjacent(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValidationError(f"vertex out of range for n={self.n}")
         return bool((self.adj_bits[u] >> v) & 1)
-
-
-def _trusted_graph(n: int, edges: frozenset[tuple[int, int]]) -> ConflictGraph:
-    """A ``ConflictGraph`` from edges already canonical for ``n`` (each
-    ``0 <= u < v < n``), built without the per-edge check."""
-    g = object.__new__(ConflictGraph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", edges)
-    return g
 
 
 def conflicts(tx1: Transaction, tx2: Transaction) -> bool:
@@ -85,17 +104,19 @@ def build_conflict_graph(block: Block) -> ConflictGraph:
             readers.setdefault(key, []).append(tx.id)
         for key in tx.write_set:
             writers.setdefault(key, []).append(tx.id)
-    edges: set[tuple[int, int]] = set()
+    rows: list[set[int]] = [set() for _ in range(n)]
     for key, ws in writers.items():
-        for i, u in enumerate(ws):
-            for v in ws[i + 1 :]:
-                edges.add((u, v) if u < v else (v, u))
-            for v in readers.get(key, ()):
-                if v != u:
-                    edges.add((u, v) if u < v else (v, u))
-    return _trusted_graph(n, frozenset(edges))
+        rs = readers.get(key)
+        for v in rs or ():
+            rows[v].update(ws)
+        touched = ws + rs if rs else ws
+        for u in ws:
+            rows[u].update(touched)
+    for v, row in enumerate(rows):
+        row.discard(v)
+    return ConflictGraph._of_rows(list(map(sorted, rows)))
 
 
 def dump_edges(g: ConflictGraph) -> str:
     """Edge list, one ``i j`` pair per line with i < j, sorted lexicographically."""
-    return "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+    return "".join(f"{u} {v}\n" for u, v in g.iter_edges())

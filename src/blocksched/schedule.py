@@ -137,7 +137,13 @@ def is_valid_schedule(s: GraphSchedule, g: ConflictGraph) -> bool:
     if s.n != g.n:
         raise ValidationError(f"schedule has {s.n} vertices, conflict graph has {g.n}")
     anc = s.ancestor_bits
-    return all((anc[v] >> u) & 1 or (anc[u] >> v) & 1 for u, v in g.edges)
+    # the upper half of each row: each edge once, with no pair tuples
+    return all(
+        (anc[v] >> u) & 1 or (anc[u] >> v) & 1
+        for u, row in enumerate(g.neighbors)
+        for v in row
+        if v > u
+    )
 
 
 def convert_to_coloring(s: GraphSchedule, g: ConflictGraph | None = None) -> Coloring:
@@ -270,12 +276,14 @@ def total_order_schedule(txs: Sequence[Transaction], g: ConflictGraph) -> GraphS
     if len(txs) != g.n:
         raise ValidationError(f"block has {len(txs)} transactions, conflict graph has {g.n}")
     position = {tx.id: idx for idx, tx in enumerate(txs)}
-    edges = set()
-    for u, v in g.edges:
-        if position[u] < position[v]:
-            edges.add((u, v))
-        else:
-            edges.add((v, u))
+    edges = {
+        (u, v) if position[u] < position[v] else (v, u)
+        for u, row in enumerate(g.neighbors)
+        for v in row
+        if v > u
+    }
+    # a frozenset copied from a set is sized to its length; one grown from a
+    # generator keeps its growth slack (twice the table memory on plan-large)
     return _trusted_schedule(g.n, frozenset(edges))
 
 

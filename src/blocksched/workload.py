@@ -5,9 +5,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
-from .conflict import ConflictGraph, _trusted_graph
+from .conflict import ConflictGraph
 from .errors import ValidationError
 from .model import (
     Block,
@@ -68,10 +67,10 @@ class WorkloadSpec:
             raise ValidationError("conflict_p must be in [0, 1]")
 
 
-def gnp_edges(rng: random.Random, n: int, p: float) -> frozenset[tuple[int, int]]:
-    """Edges (u, v), u < v, of one G(n, p) draw: each of the n(n-1)/2 pairs is
-    an edge with probability p, independently of the others. Every seeded
-    graph drawer goes through this one function.
+def gnp_edges(rng: random.Random, n: int, p: float) -> ConflictGraph:
+    """One G(n, p) draw: each of the n(n-1)/2 pairs is an edge with
+    probability p, independently of the others. Every seeded graph drawer
+    goes through this one function.
 
     Geometric edge skipping (Batagelj & Brandes, "Efficient generation of
     large random networks", Phys. Rev. E 71, 2005): the pairs are walked in a
@@ -81,18 +80,21 @@ def gnp_edges(rng: random.Random, n: int, p: float) -> frozenset[tuple[int, int]
     for m edges (none for n < 2), instead of one per pair. The walk stops at
     the first gap past the last pair; at a subnormal p that gap is infinite.
 
-    The same ``rng`` state gives the same edges and leaves the same state.
+    The walk visits pairs (w, v), w < v, in order of v, then of w. Each edge
+    appends w to v's row and v to w's row, so the graph's neighbour rows come
+    out ascending without a sort, and no edge set is built.
+
+    The same ``rng`` state gives the same graph and leaves the same state.
     p <= 0 and NaN give no edges and p >= 1 every pair; neither draws.
     """
-    if not p > 0.0:  # NaN as well
-        return frozenset()
     if p >= 1.0:
-        return frozenset(combinations(range(n), 2))
+        return ConflictGraph._of_rows([[w for w in range(n) if w != v] for v in range(n)])
+    rows: list[list[int]] = [[] for _ in range(n)]
+    if not p > 0.0:  # NaN as well
+        return ConflictGraph._of_rows(rows)
     log_q = math.log1p(-p)
     pairs = n * (n - 1) // 2
     draw, log = rng.random, math.log
-    edges = []
-    # pairs (w, v), w < v, in order of v, then of w
     v, w = 1, -1
     while v < n:
         gap = log(1.0 - draw()) / log_q
@@ -103,8 +105,9 @@ def gnp_edges(rng: random.Random, n: int, p: float) -> frozenset[tuple[int, int]
             w -= v
             v += 1
         if v < n:
-            edges.append((w, v))
-    return frozenset(edges)
+            rows[v].append(w)
+            rows[w].append(v)
+    return ConflictGraph._of_rows(rows)
 
 
 def _draw_length(spec: WorkloadSpec, rng: random.Random) -> int:
@@ -124,7 +127,7 @@ def gen_block(spec: WorkloadSpec, *, seq: int = 0, prev_hash: bytes = b"") -> Bl
     """Deterministic block for a spec; the same spec yields identical blocks."""
     rng = random.Random(spec.seed)
     if spec.conflict_p is not None:
-        g = _trusted_graph(spec.n_txs, gnp_edges(rng, spec.n_txs, spec.conflict_p))
+        g = gnp_edges(rng, spec.n_txs, spec.conflict_p)
         lengths = [_draw_length(spec, rng) for _ in range(spec.n_txs)]
         return block_from_graph(
             g,
@@ -167,10 +170,9 @@ def block_from_graph(
     round-trips exactly. With ``include_reads`` the shared keys are read as
     well, giving the programs real data flow without changing the relation.
     """
-    edge_key = {edge: f"e{edge[0]}_{edge[1]}" for edge in sorted(g.edges)}
     txs = []
     for v in range(g.n):
-        keys = {edge_key[(min(v, u), max(v, u))] for u in g.neighbors[v]}
+        keys = {f"e{min(u, v)}_{max(u, v)}" for u in g.neighbors[v]}
         keys.add(f"p{v}")
         program = programs[v] if programs is not None else TxProgram(ProgramKind.SLEEP_ONLY)
         txs.append(

@@ -105,6 +105,21 @@ def random_graph(rng: random.Random, n: int, p: float) -> ConflictGraph:
     return ConflictGraph(n=n, edges=edges)
 
 
+def assert_rows_match_checked_graph(g: ConflictGraph) -> None:
+    """``g`` holds ascending, symmetric, loop-free neighbour rows, and equals the
+    checked construction from its edges in every view, in ``==`` and in hash."""
+    for v, row in enumerate(g.neighbors):
+        assert type(row) is tuple
+        assert list(row) == sorted(set(row)) and v not in row
+        assert all(v in g.neighbors[u] for u in row)
+    checked = ConflictGraph(n=g.n, edges=g.edges)
+    assert g.neighbors == checked.neighbors
+    assert g.adj_bits == checked.adj_bits
+    assert g.edges == checked.edges
+    assert type(g.edges) is frozenset
+    assert g == checked and hash(g) == hash(checked)
+
+
 def random_valid_schedule(g: ConflictGraph, rng: random.Random) -> GraphSchedule:
     """A valid schedule built independently of the level scheduler: orient
     every conflict edge along a random permutation, then sprinkle extra

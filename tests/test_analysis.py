@@ -28,7 +28,12 @@ from blocksched.model import block_from_text
 from blocksched.schedule import is_valid_schedule, latency, total_order_schedule
 from blocksched.workload import block_from_graph, chain_block
 
-from conftest import brute_chromatic, brute_longest_simple_path_edges, random_graph
+from conftest import (
+    assert_rows_match_checked_graph,
+    brute_chromatic,
+    brute_longest_simple_path_edges,
+    random_graph,
+)
 
 
 def test_oracle_chain_of_six_is_two():
@@ -355,7 +360,5 @@ def test_stable_seed_is_stable():
 @given(n=st.integers(0, 400), p=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]), seed=st.integers(0, 2**32))
 def test_gnp_graph_equals_checked_construction(n, p, seed):
     g = gnp_graph(n, p, seed)
-    checked = ConflictGraph(n=n, edges=g.edges)
-    assert (g.n, g.edges, g.neighbors, g.adj_bits) == (
-        checked.n, checked.edges, checked.neighbors, checked.adj_bits
-    )
+    assert g.n == n
+    assert_rows_match_checked_graph(g)

@@ -3,11 +3,35 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksched.analysis import gnp_graph, ratio_sample
 from blocksched.conflict import ConflictGraph, build_conflict_graph, conflicts, dump_edges
 from blocksched.errors import ValidationError
+from blocksched.model import Block
+from blocksched.replication import make_runner, plan_block
 from blocksched.workload import WorkloadSpec, chain_block, gen_block
 
-from conftest import make_block, make_tx
+from conftest import assert_rows_match_checked_graph, make_block, make_tx
+
+
+def edge_set_conflict_graph(block: Block) -> frozenset[tuple[int, int]]:
+    """Oracle: the block's conflict edges (u, v), u < v, collected pair by pair
+    into a set from per-key writer and reader lists."""
+    readers: dict[str, list[int]] = {}
+    writers: dict[str, list[int]] = {}
+    for tx in block.txs:
+        for key in tx.read_set:
+            readers.setdefault(key, []).append(tx.id)
+        for key in tx.write_set:
+            writers.setdefault(key, []).append(tx.id)
+    edges: set[tuple[int, int]] = set()
+    for key, ws in writers.items():
+        for i, u in enumerate(ws):
+            for v in ws[i + 1 :]:
+                edges.add((u, v) if u < v else (v, u))
+            for v in readers.get(key, ()):
+                if v != u:
+                    edges.add((u, v) if u < v else (v, u))
+    return frozenset(edges)
 
 
 def test_read_write_conflict():
@@ -97,18 +121,39 @@ def test_dump_edges_format():
     assert dump_edges(g) == "0 2\n1 2\n"
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(0, 300),
-    universe=st.integers(4, 60),
-    conflict_p=st.none() | st.sampled_from([0.0, 0.05, 0.5]),
+    data=st.data(),
+    length_mode=st.sampled_from(["homogeneous", "heterogeneous"]),
+    conflict_p=st.none() | st.sampled_from([0.0, 0.05, 0.5, 1.0]),
     seed=st.integers(0, 2**32),
 )
-def test_built_graph_equals_checked_construction(n, universe, conflict_p, seed):
-    block = gen_block(WorkloadSpec(n_txs=n, key_universe=universe, conflict_p=conflict_p, seed=seed))
+def test_built_graph_equals_checked_construction(n, data, length_mode, conflict_p, seed):
+    universe = data.draw(st.integers(2, max(n, 2)), label="key_universe")
+    spec = WorkloadSpec(
+        n_txs=n, key_universe=universe, length_mode=length_mode, conflict_p=conflict_p, seed=seed
+    )
+    block = gen_block(spec)
     g = build_conflict_graph(block)
-    checked = ConflictGraph(n=g.n, edges=g.edges)
-    assert g == checked
-    assert type(g.edges) is frozenset
-    assert g.neighbors == checked.neighbors
-    assert g.adj_bits == checked.adj_bits
+    assert g.n == n
+    assert g.edges == edge_set_conflict_graph(block)
+    assert_rows_match_checked_graph(g)
+
+
+def test_timed_paths_never_build_the_edge_view(monkeypatch):
+    # the study kernel and the plan-large schedule path read the rows only
+    built = []
+
+    def edges(g):
+        built.append(g.n)
+        return frozenset(g.iter_edges())
+
+    monkeypatch.setattr(ConflictGraph, "edges", property(edges))
+    for n, p in ((300, 0.05), (200, 0.5)):
+        ratio_sample(gnp_graph(n, p, 1), n, p)
+    for universe in (16, 400):
+        block = gen_block(WorkloadSpec(n_txs=400, key_universe=universe, seed=1))
+        for name in ("greedy", "order"):
+            plan_block(make_runner(name), block)
+    assert built == []

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from blocksched.conflict import ConflictGraph, build_conflict_graph
+from blocksched.conflict import ConflictGraph, build_conflict_graph, dump_edges
 from blocksched.errors import ValidationError
 from blocksched.model import block_hash, block_to_text
 from blocksched.schedule import GraphSchedule
@@ -22,6 +22,8 @@ from blocksched.workload import (
     gnp_edges,
 )
 from blocksched.analysis import gnp_graph
+
+from conftest import assert_rows_match_checked_graph
 
 
 def test_chain_block_is_a_path():
@@ -184,7 +186,7 @@ class _CountingRandom(random.Random):
 @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
 def test_gnp_edges_each_pair_is_an_edge_with_probability_p(p):
     n, seeds = 6, 2000
-    draws = [gnp_edges(random.Random(seed), n, p) for seed in range(seeds)]
+    draws = [gnp_edges(random.Random(seed), n, p).edges for seed in range(seeds)]
     sigma = math.sqrt(p * (1 - p) / seeds)
     for pair in combinations(range(n), 2):
         freq = sum(pair in edges for edges in draws) / seeds
@@ -196,7 +198,7 @@ def test_gnp_edges_pairs_are_independent(p):
     # every two of the 15 pairs: neighbours in the walk order, pairs a row
     # apart and pairs that share a vertex
     n, seeds = 6, 2000
-    draws = [gnp_edges(random.Random(seed), n, p) for seed in range(seeds)]
+    draws = [gnp_edges(random.Random(seed), n, p).edges for seed in range(seeds)]
     sigma = math.sqrt(p * p * (1 - p * p) / seeds)
     for a, b in combinations(combinations(range(n), 2), 2):
         freq = sum(a in edges and b in edges for edges in draws) / seeds
@@ -207,7 +209,7 @@ def test_gnp_edges_pairs_are_independent(p):
 def test_gnp_edges_count_is_binomial(p):
     n, seeds = 200, 500
     pairs = n * (n - 1) // 2
-    counts = [len(gnp_edges(random.Random(seed), n, p)) for seed in range(seeds)]
+    counts = [len(gnp_edges(random.Random(seed), n, p).edges) for seed in range(seeds)]
     var = pairs * p * (1 - p)
     assert abs(statistics.fmean(counts) - pairs * p) <= 5 * math.sqrt(var / seeds)
     # the sample variance's relative standard error is about sqrt(2 / (seeds - 1))
@@ -215,15 +217,20 @@ def test_gnp_edges_count_is_binomial(p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32), n=st.integers(0, 60), p=st.floats())
+@given(seed=st.integers(0, 2**32), n=st.integers(0, 80), p=st.floats())
 @example(seed=1, n=60, p=5e-324)  # the first gap is infinite
+@example(seed=1, n=80, p=math.nan)
+@example(seed=1, n=80, p=math.inf)
+@example(seed=1, n=80, p=-math.inf)
 def test_gnp_edges_is_deterministic_and_draws_once_per_edge(seed, n, p):
     ours, again = _CountingRandom(seed), _CountingRandom(seed)
-    edges = gnp_edges(ours, n, p)
+    g = gnp_edges(ours, n, p)
+    assert_rows_match_checked_graph(g)
+    edges = g.edges
     assert all(0 <= u < v < n for u, v in edges)
     # one draw per edge and one past the last pair; none without a random pair
     assert ours.calls == (len(edges) + 1 if 0 < p < 1 and n >= 2 else 0)
-    assert gnp_edges(again, n, p) == edges
+    assert gnp_edges(again, n, p).edges == edges
     assert ours.random() == again.random()
 
 
@@ -248,4 +255,35 @@ def test_gnp_edges_at_extreme_probabilities(p, complete):
     for n in (0, 1, 2, 40):
         expected = frozenset(combinations(range(n), 2)) if complete else frozenset()
         for seed in range(20):
-            assert gnp_edges(random.Random(seed), n, p) == expected
+            assert gnp_edges(random.Random(seed), n, p).edges == expected
+
+
+# (seed, n, p) -> sha256 of ``dump_edges`` of the draw from random.Random(seed),
+# and the rng's next random() after it
+GNP_STREAM_GOLDEN = {
+    (1, 1000, 0.05): (
+        "245425bcad55625567bdf8df68eed9c08c7bad8918684ac890184b6e1aaae534", 0.15724655405341403
+    ),
+    (2, 2000, 0.01): (
+        "8480162a4f9f37cd66c364212af4ed054b7f3eff3d1ae795d38e0207f514ab1b", 0.22754648198857697
+    ),
+    (3, 300, 0.5): (
+        "e2e8d36430028f9c8dfd408603368989789989d60682f3f74cc537a77d95eab0", 0.6292308308797226
+    ),
+    (4, 40, 1.5): (
+        "c17126dfc2bf4e9654da947ef06c37284267ad649153b71122b86a864d05698c", 0.23604808973743452
+    ),
+    (5, 60, 1e-320): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0.7417869892607294
+    ),
+    (6, 7, 0.3): (
+        "1020df73489e3ba1c64321d01361407ef48cbb412d8754c46c1df781eece5e3f", 0.37316037207384156
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, n, p", list(GNP_STREAM_GOLDEN))
+def test_gnp_edges_stream_golden(seed, n, p):
+    rng = random.Random(seed)
+    digest = hashlib.sha256(dump_edges(gnp_edges(rng, n, p)).encode()).hexdigest()
+    assert (digest, rng.random()) == GNP_STREAM_GOLDEN[seed, n, p]
