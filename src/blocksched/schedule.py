@@ -1,8 +1,8 @@
 """Graph schedules: representation, validity, latency, and synthesis.
 
-A graph schedule is an acyclic set of directed dependency edges over a
-block's transaction ids. It is valid for a conflict graph when every
-conflicting pair is connected by a directed path, which is exactly the
+A graph schedule is a DAG over a block's transaction ids, stored as one
+sorted predecessor row per transaction. It is valid for a conflict graph
+when every conflicting pair is connected by a directed path, which is the
 premise the concurrent executor needs to stay serializable.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import Coloring, _check_lengths
 from .conflict import ConflictGraph
@@ -19,51 +19,65 @@ from .errors import ValidationError
 from .model import Transaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GraphSchedule:
-    """Directed acyclic edge set over vertex ids 0..n-1; u -> v means u runs before v."""
+    """Directed acyclic graph over vertex ids 0..n-1; u -> v means u runs before v.
+
+    Stored: ``preds``, one ascending tuple of predecessor ids per vertex.
+    Derived and cached on first use: ``succs`` (ascending rows), ``edges``
+    (the frozenset of pairs (u, v)) and ``ancestor_bits``. ``GraphSchedule(n,
+    edges)`` checks every edge; the producers build rows and hand them to
+    ``_of_preds`` unchecked. Both reject a cycle.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    preds: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.n < 0:
-            raise ValidationError(f"n must be non-negative, got {self.n}")
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValidationError(f"edge ({u}, {v}) out of range for n={self.n}")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        if n < 0:
+            raise ValidationError(f"n must be non-negative, got {n}")
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for u, v in frozenset(edges):
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValidationError(f"self-loop on vertex {u}")
-        self._require_acyclic()
+            rows[v].append(u)
+        self._set_preds([sorted(row) for row in rows])
 
-    def _require_acyclic(self) -> None:
-        # acyclicity is part of the type: reject cyclic edge sets on construction
+    @classmethod
+    def _of_preds(cls, rows: Sequence[Sequence[int]]) -> GraphSchedule:
+        """The schedule over ``len(rows)`` vertices whose predecessor rows are
+        ``rows``, which the caller built ascending, in range and free of
+        self-loops; acyclicity is still checked."""
+        s = object.__new__(cls)
+        s._set_preds(rows)
+        return s
+
+    def _set_preds(self, rows: Sequence[Sequence[int]]) -> None:
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "preds", tuple(map(tuple, rows)))
         if len(self._topo) != self.n:
             raise ValidationError("schedule edges contain a cycle")
 
     @cached_property
     def succs(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            out[u].append(v)
-        return tuple(tuple(sorted(vs)) for vs in out)
+        for v, row in enumerate(self.preds):  # v ascending keeps each row sorted
+            for u in row:
+                out[u].append(v)
+        return tuple(map(tuple, out))
 
     @cached_property
-    def preds(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            inc[v].append(u)
-        return tuple(tuple(sorted(us)) for us in inc)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        # copied from a set, so sized to its length: a generator leaves growth slack
+        return frozenset({(u, v) for v, row in enumerate(self.preds) for u in row})
 
     @cached_property
     def _topo(self) -> tuple[int, ...]:
         """Canonical topological order: smallest ready id first (shorter on a cycle)."""
-        indeg = [0] * self.n
-        succs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            indeg[v] += 1
-            succs[u].append(v)
+        indeg = list(map(len, self.preds))
+        succs = self.succs
         ready = [v for v in range(self.n) if indeg[v] == 0]
         heapq.heapify(ready)
         order: list[int] = []
@@ -90,16 +104,6 @@ class GraphSchedule:
                 acc |= anc[u] | (1 << u)
             anc[v] = acc
         return tuple(anc)
-
-
-def _trusted_schedule(n: int, edges: frozenset[tuple[int, int]]) -> GraphSchedule:
-    """A ``GraphSchedule`` from edges already in range and free of self-loops,
-    built without the per-edge check; acyclicity is still checked."""
-    s = object.__new__(GraphSchedule)
-    object.__setattr__(s, "n", n)
-    object.__setattr__(s, "edges", edges)
-    s._require_acyclic()
-    return s
 
 
 @dataclass(frozen=True)
@@ -255,20 +259,18 @@ def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> Grap
     no redundant edges.
     """
     levels, masks = _normalize_partition(partition, g)
-    edges: set[tuple[int, int]] = set()
+    preds: list[list[int]] = [[] for _ in range(g.n)]
     anc = [0] * g.n  # incremental ancestor bitsets of the schedule built so far
     for i, current in enumerate(levels):
-        for j in range(i - 1, -1, -1):
-            # collect the whole level's edges before applying any of them
-            batch = [
-                (u, v)
-                for v in current
-                for u in _set_bits(g.adj_bits[v] & masks[j] & ~anc[v])
-            ]
-            for u, v in batch:
-                edges.add((u, v))
-                anc[v] |= anc[u] | (1 << u)
-    return _trusted_schedule(g.n, frozenset(edges))
+        for v in current:
+            row, acc = preds[v], 0
+            for j in range(i - 1, -1, -1):
+                for u in _set_bits(g.adj_bits[v] & masks[j] & ~acc):
+                    row.append(u)
+                    acc |= anc[u] | (1 << u)
+            row.sort()
+            anc[v] = acc
+    return GraphSchedule._of_preds(preds)
 
 
 def total_order_schedule(txs: Sequence[Transaction], g: ConflictGraph) -> GraphSchedule:
@@ -276,15 +278,8 @@ def total_order_schedule(txs: Sequence[Transaction], g: ConflictGraph) -> GraphS
     if len(txs) != g.n:
         raise ValidationError(f"block has {len(txs)} transactions, conflict graph has {g.n}")
     position = {tx.id: idx for idx, tx in enumerate(txs)}
-    edges = {
-        (u, v) if position[u] < position[v] else (v, u)
-        for u, row in enumerate(g.neighbors)
-        for v in row
-        if v > u
-    }
-    # a frozenset copied from a set is sized to its length; one grown from a
-    # generator keeps its growth slack (twice the table memory on plan-large)
-    return _trusted_schedule(g.n, frozenset(edges))
+    preds = [[u for u in row if position[u] < position[v]] for v, row in enumerate(g.neighbors)]
+    return GraphSchedule._of_preds(preds)
 
 
 def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
@@ -293,12 +288,11 @@ def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
     n = len(ids)
     if ids and ids != frozenset(range(n)):
         raise ValidationError(f"batches must cover ids 0..{n - 1}")
-    edges: set[tuple[int, int]] = set()
+    preds: list[tuple[int, ...]] = [()] * n
     for earlier, later in zip(b.batches, b.batches[1:]):
-        for u in earlier:
-            for v in later:
-                edges.add((u, v))
-    return _trusted_schedule(n, frozenset(edges))
+        for v in later:
+            preds[v] = earlier
+    return GraphSchedule._of_preds(preds)
 
 
 def batch_latency(b: BatchSchedule, lengths: Mapping[int, int]) -> int:
@@ -331,8 +325,8 @@ def size_descending_color_order(coloring: Coloring) -> tuple[tuple[int, ...], ..
 
 def dump_schedule(s: GraphSchedule) -> str:
     """Header ``n k`` with the edge count, then directed ``u v`` lines, sorted."""
-    lines = [f"{s.n} {len(s.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(s.edges))
+    lines = [f"{s.n} {sum(map(len, s.preds))}"]
+    lines.extend(f"{u} {v}" for u, row in enumerate(s.succs) for v in row)
     return "\n".join(lines) + "\n"
 
 

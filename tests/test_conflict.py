@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from blocksched.analysis import gnp_graph, ratio_sample
 from blocksched.conflict import ConflictGraph, build_conflict_graph, conflicts, dump_edges
 from blocksched.errors import ValidationError
-from blocksched.model import Block
-from blocksched.replication import make_runner, plan_block
+from blocksched.model import Block, GlobalState
+from blocksched.replication import make_runner, process_block
+from blocksched.schedule import GraphSchedule, latency_stats
 from blocksched.workload import WorkloadSpec, chain_block, gen_block
 
 from conftest import assert_rows_match_checked_graph, make_block, make_tx
@@ -142,18 +143,27 @@ def test_built_graph_equals_checked_construction(n, data, length_mode, conflict_
 
 
 def test_timed_paths_never_build_the_edge_view(monkeypatch):
-    # the study kernel and the plan-large schedule path read the rows only
+    # the study kernel, the plan-large schedule path and block processing read
+    # the rows only: neither a conflict graph nor a schedule builds its edge set
     built = []
 
-    def edges(g):
-        built.append(g.n)
-        return frozenset(g.iter_edges())
+    def edges(x):
+        built.append((type(x).__name__, x.n))
+        return frozenset()
 
     monkeypatch.setattr(ConflictGraph, "edges", property(edges))
+    monkeypatch.setattr(GraphSchedule, "edges", property(edges))
     for n, p in ((300, 0.05), (200, 0.5)):
         ratio_sample(gnp_graph(n, p, 1), n, p)
     for universe in (16, 400):
         block = gen_block(WorkloadSpec(n_txs=400, key_universe=universe, seed=1))
         for name in ("greedy", "order"):
-            plan_block(make_runner(name), block)
+            runner = make_runner(name)
+            g = build_conflict_graph(block)
+            plan = runner.make_schedule(block.txs, g)
+            assert runner.validate_schedule(block.txs, g, plan)
+            latency_stats(plan.schedule, {tx.id: tx.length for tx in block.txs})
+    block = gen_block(WorkloadSpec(n_txs=60, key_universe=24, seed=2))
+    for name in ("min-coloring", "batch"):
+        process_block(make_runner(name), block, GlobalState())
     assert built == []

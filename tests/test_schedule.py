@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +16,10 @@ from blocksched.coloring import (
 )
 from blocksched.conflict import ConflictGraph, build_conflict_graph
 from blocksched.errors import ValidationError
+from blocksched.replication import BUILTIN_RUNNERS, BatchPlan, make_runner, plan_block
 from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
-    _trusted_schedule,
     batch_latency,
     batch_to_graph,
     convert_to_coloring,
@@ -441,6 +443,8 @@ def _checked_equal(s):
     checked = GraphSchedule(n=s.n, edges=s.edges)
     assert s == checked
     assert type(s.edges) is frozenset
+    # the edge view is copied from a set: no growth slack in its table
+    assert sys.getsizeof(s.edges) == sys.getsizeof(frozenset(set(s.edges)))
     assert s.topo_order() == checked.topo_order()
     assert (s.succs, s.preds, s.ancestor_bits) == (checked.succs, checked.preds, checked.ancestor_bits)
 
@@ -466,4 +470,70 @@ def test_built_schedules_equal_checked_construction(n, universe, conflict_p, see
 
 def test_trusted_schedule_still_rejects_a_cycle():
     with pytest.raises(ValidationError, match="cycle"):
-        _trusted_schedule(3, frozenset({(0, 1), (1, 2), (2, 0)}))
+        GraphSchedule._of_preds([[2], [0], [1]])
+
+
+# (gen_block spec, sha256 of the ``dump_schedule`` of every built-in runner's
+# plan, runners in name order, then of the order schedule of the reversed
+# transaction list). Redundant edges never change a ledger, so only these
+# digests pin the exact edges each producer emits.
+SCHEDULE_GOLDEN = [
+    (
+        dict(n_txs=0, seed=1),
+        "bae1ece52a35dfcc8197a3e535f37f033db1267706ccdda88675996f11a20313",
+    ),
+    (
+        dict(n_txs=1, seed=2),
+        "d28bfa312065762a09c95ac6d931f3bf381c84f21a2cbcf7d2b7d3a9c725c03e",
+    ),
+    (
+        dict(n_txs=16, key_universe=6, seed=3),
+        "d86854cef88a5fe4d328d0a4167bbd00076e8efecc4098e2dae8b15e81794a9c",
+    ),
+    (
+        dict(n_txs=40, key_universe=8, length_mode="heterogeneous", seed=4),
+        "9b18bac6e80601104fc4418a4844881b83b6db971fdbb0fa3d31e5a079cd622f",
+    ),
+    (
+        dict(n_txs=60, key_universe=12, length_mode="epsilon", length_base=10, length_epsilon=3, seed=5),
+        "2fd5e7170328082896b098da2f77f48fde01e88098e042d4084189fc838660f7",
+    ),
+    (
+        dict(n_txs=100, key_universe=30, seed=6),
+        "b5199d983de647bc4b9276d90938d16f5ce913754a0b73b95d754f6b2924276f",
+    ),
+    (
+        dict(n_txs=120, conflict_p=0.05, length_mode="heterogeneous", seed=7),
+        "8542ac7035c140d99f79ac613ca64b080ceccd1f40854ce54286ff381f707933",
+    ),
+    (
+        dict(n_txs=200, key_universe=50, length_mode="heterogeneous", seed=8),
+        "71c50a5edd2f6663388f0f3752e47ee05b3acc5a13be3c8d6da17a3ac59c0b9d",
+    ),
+    (
+        dict(n_txs=250, conflict_p=0.02, seed=9),
+        "b3035bef3699cbcead90089bba78eedea5425234d2ae453847ff20330146c955",
+    ),
+    (
+        dict(n_txs=300, key_universe=64, length_mode="heterogeneous", seed=10),
+        "b9112bcc4c21ce6567fe2cc62ff25410b3f684dec52ffae8c58f72976139d5f3",
+    ),
+]
+
+
+def _schedule_digest(block):
+    digest = hashlib.sha256()
+    for name in sorted(BUILTIN_RUNNERS):
+        plan = plan_block(make_runner(name), block)
+        s = batch_to_graph(plan.batches) if isinstance(plan, BatchPlan) else plan.schedule
+        digest.update(dump_schedule(s).encode())
+    reversed_order = total_order_schedule(block.txs[::-1], build_conflict_graph(block))
+    digest.update(dump_schedule(reversed_order).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, expected", SCHEDULE_GOLDEN, ids=[f"n{spec['n_txs']}" for spec, _ in SCHEDULE_GOLDEN]
+)
+def test_schedule_golden(spec, expected):
+    assert _schedule_digest(gen_block(WorkloadSpec(**spec))) == expected
