@@ -6,6 +6,11 @@ connected component), which is exhaustive because level scheduling is
 complete: every valid schedule is dominated by some level schedule. A slower
 oracle that enumerates all acyclic orientations of the conflict graph exists
 for double-checking the fast one.
+
+The oracles, the graph catalog and the searches read the conflict graph's
+rows (``neighbors``, ``iter_edges()``, ``adj_bits``) and keep no adjacency of
+their own; only the per-component search re-indexes its component's rows as
+local bitsets.
 """
 
 from __future__ import annotations
@@ -131,13 +136,24 @@ def _component_optimum(
     return optimum, tuple(levels)
 
 
+def _component(g: ConflictGraph, start: int) -> list[int]:
+    """Ids reachable from ``start`` over the graph's rows, ascending."""
+    seen, stack = {start}, [start]
+    while stack:
+        for u in g.neighbors[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return sorted(seen)
+
+
 def optimal_schedule_oracle(block: Block) -> tuple[GraphSchedule, int]:
     """Exhaustive minimum-latency search; returns a witness level schedule.
 
     Complete because level schedules dominate all valid schedules. Searches
     every ordered legal partition per connected component of the conflict
-    graph; components are solved independently and merged level by level,
-    with conflict-free vertices placed in the first level. Ties within a
+    graph; components are solved independently and merged level by level, so
+    a conflict-free vertex lands in the first level. Ties within a
     component resolve to the lexicographically smallest optimal partition,
     so the witness is deterministic.
     """
@@ -146,37 +162,20 @@ def optimal_schedule_oracle(block: Block) -> tuple[GraphSchedule, int]:
     if n > ORACLE_CAP:
         raise CapacityError(f"oracle capped at {ORACLE_CAP} transactions (block has {n})")
     lengths = {tx.id: tx.length for tx in block.txs}
-    if n == 0:
-        return GraphSchedule(0, frozenset()), 0
-
-    isolated = [v for v in range(n) if not g.neighbors[v]]
-    seen: set[int] = set(isolated)
-    components: list[list[int]] = []
+    best_val = 0
+    merged: list[list[int]] = []
+    seen: set[int] = set()
     for v in range(n):
         if v in seen:
             continue
-        stack = [v]
-        comp = []
-        seen.add(v)
-        while stack:
-            w = stack.pop()
-            comp.append(w)
-            for u in g.neighbors[w]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        components.append(sorted(comp))
-
-    best_val = max((lengths[v] for v in isolated), default=0)
-    merged: list[list[int]] = [list(isolated)] if isolated else []
-    for comp in components:
+        comp = _component(g, v)
+        seen.update(comp)
         comp_val, comp_levels = _component_optimum(comp, g, lengths)
         best_val = max(best_val, comp_val)
-        while len(merged) < len(comp_levels):
-            merged.append([])
+        merged.extend([] for _ in range(len(comp_levels) - len(merged)))
         for i, level in enumerate(comp_levels):
             merged[i].extend(level)
-    best_partition = tuple(tuple(sorted(level)) for level in merged if level)
+    best_partition = tuple(tuple(sorted(level)) for level in merged)
 
     witness = level_schedule(best_partition, g)
     if latency(witness, lengths) != best_val:
@@ -197,7 +196,6 @@ def optimal_latency_all_orientations(block: Block) -> int:
     lengths = [tx.length for tx in sorted(block.txs, key=lambda t: t.id)]
     if n == 0:
         return 0
-    edges = list(g.iter_edges())
     best = None
     for perm in itertools.permutations(range(n)):
         pos = [0] * n
@@ -205,14 +203,9 @@ def optimal_latency_all_orientations(block: Block) -> int:
             pos[v] = idx
         finish = [0] * n
         for v in perm:
-            incoming = 0
-            for a, b in edges:
-                u = None
-                if b == v and pos[a] < pos[v]:
-                    u = a
-                elif a == v and pos[b] < pos[v]:
-                    u = b
-                if u is not None and finish[u] > incoming:
+            incoming, before = 0, pos[v]
+            for u in g.neighbors[v]:
+                if pos[u] < before and finish[u] > incoming:
                     incoming = finish[u]
             finish[v] = incoming + lengths[v]
         lat = max(finish)
@@ -229,35 +222,26 @@ def transform_graph_to_block(g: ConflictGraph, c: int = 1) -> Block:
     return block_from_graph(g, [c] * g.n)
 
 
-def _canonical_code(n: int, edges: frozenset[tuple[int, int]]) -> tuple:
+def _canonical_code(g: ConflictGraph) -> tuple:
     """Exact isomorphism invariant: the minimum edge bitmask over all
-    relabelings that sort vertex degrees descending."""
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
+    relabelings that sort vertex degrees descending. Relabeled edge (a, b),
+    a < b, sets bit ``a * n + b``."""
+    n = g.n
+    degree = [len(row) for row in g.neighbors]
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(degree[v], []).append(v)
     ordered_groups = [groups[d] for d in sorted(groups, reverse=True)]
-    pair_index = {}
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_index[(i, j)] = idx
-            idx += 1
+    edges = list(g.iter_edges())
     best: int | None = None
-    for perms in itertools.product(*(itertools.permutations(g) for g in ordered_groups)):
-        label: dict[int, int] = {}
-        slot = 0
-        for group in perms:
-            for v in group:
-                label[v] = slot
-                slot += 1
+    label = [0] * n
+    for perms in itertools.product(*(itertools.permutations(grp) for grp in ordered_groups)):
+        for slot, v in enumerate(itertools.chain.from_iterable(perms)):
+            label[v] = slot
         code = 0
         for u, v in edges:
             a, b = label[u], label[v]
-            code |= 1 << pair_index[(a, b) if a < b else (b, a)]
+            code |= 1 << (a * n + b if a < b else b * n + a)
         if best is None or code < best:
             best = code
     return (n, tuple(sorted(degree, reverse=True)), best)
@@ -274,25 +258,20 @@ def connected_graph_catalog(max_n: int) -> list[ConflictGraph]:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         seen: set[tuple] = set()
         for bits in range(1 << len(pairs)):
-            edges = frozenset(pairs[i] for i in range(len(pairs)) if (bits >> i) & 1)
-            adj: dict[int, set[int]] = {v: set() for v in range(n)}
-            for u, v in edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            stack, reached = [0], {0}
-            while stack:
-                w = stack.pop()
-                for x in adj[w]:
-                    if x not in reached:
-                        reached.add(x)
-                        stack.append(x)
-            if len(reached) != n:
+            # pairs run in lexicographic order, so every row comes out ascending
+            rows: list[list[int]] = [[] for _ in range(n)]
+            for i, (u, v) in enumerate(pairs):
+                if (bits >> i) & 1:
+                    rows[u].append(v)
+                    rows[v].append(u)
+            g = ConflictGraph._of_rows(rows)
+            if len(_component(g, 0)) != n:
                 continue
-            code = _canonical_code(n, edges)
+            code = _canonical_code(g)
             if code in seen:
                 continue
             seen.add(code)
-            catalog.append(ConflictGraph(n=n, edges=edges))
+            catalog.append(g)
     return catalog
 
 
@@ -497,6 +476,21 @@ class CounterexampleReport:
     def found(self, phenomenon: str) -> bool:
         return phenomenon in self.witnesses
 
+    def record(self, phenomenon: str, trial: int, block: Block, detail: str) -> None:
+        """Count a hit; the first hit of each phenomenon is kept as its witness."""
+        self.counts[phenomenon] += 1
+        if phenomenon not in self.witnesses:
+            self.witnesses[phenomenon] = Witness(phenomenon, trial, block_to_text(block), detail)
+
+
+def _order_latencies(
+    partition: Sequence[Sequence[int]], g: ConflictGraph, lengths: Mapping[int, int]
+) -> Iterator[int]:
+    """Latency of the level schedule of each order of the partition's levels,
+    in ``itertools.permutations`` order."""
+    for order in itertools.permutations(partition):
+        yield latency(level_schedule(order, g), lengths)
+
 
 def hetero_counterexample_search(
     n_max: int = 7,
@@ -542,25 +536,14 @@ def hetero_counterexample_search(
 
         per_partition: list[tuple[int, int]] = []
         for partition in partitions:
-            lats = []
-            for perm in itertools.permutations(range(chi)):
-                ordered = tuple(partition[i] for i in perm)
-                lats.append(latency(level_schedule(ordered, g), length_map))
+            lats = list(_order_latencies(partition, g, length_map))
             per_partition.append((min(lats), max(lats)))
         overall_min = min(p_min for p_min, _ in per_partition)
         overall_max = max(p_max for _, p_max in per_partition)
 
         if overall_max > overall_min:
-            report.counts["a"] += 1
-            if "a" not in report.witnesses:
-                report.witnesses["a"] = Witness(
-                    phenomenon="a",
-                    trial=trial,
-                    block_text=block_to_text(block),
-                    detail=(
-                        f"minimal colorings with level latencies {overall_min} and {overall_max}"
-                    ),
-                )
+            detail = f"minimal colorings with level latencies {overall_min} and {overall_max}"
+            report.record("a", trial, block, detail)
 
         needs_oracle = not homogeneous and (
             "b" not in report.witnesses or "c" not in report.witnesses
@@ -576,26 +559,18 @@ def hetero_counterexample_search(
                     b_hit = f"a minimal coloring whose reorderings span {p_min}..{p_max}"
                     break
             if b_hit:
-                report.counts["b"] += 1
-                if "b" not in report.witnesses:
-                    report.witnesses["b"] = Witness("b", trial, block_to_text(block), b_hit)
+                report.record("b", trial, block, b_hit)
 
             weighted = exact_min_weighted_coloring(g, length_map)
             lat_weighted = latency(
                 level_schedule(partition_from_coloring(weighted), g), length_map
             )
             if lat_weighted > min_lt and overall_min == min_lt:
-                report.counts["c"] += 1
-                if "c" not in report.witnesses:
-                    report.witnesses["c"] = Witness(
-                        phenomenon="c",
-                        trial=trial,
-                        block_text=block_to_text(block),
-                        detail=(
-                            f"minimal weighted coloring gives latency {lat_weighted} > optimum "
-                            f"{min_lt}, while an unweighted minimal coloring reaches {overall_min}"
-                        ),
-                    )
+                detail = (
+                    f"minimal weighted coloring gives latency {lat_weighted} > optimum "
+                    f"{min_lt}, while an unweighted minimal coloring reaches {overall_min}"
+                )
+                report.record("c", trial, block, detail)
 
         if stop_when is not None and stop_when <= set(report.witnesses):
             break
@@ -623,11 +598,9 @@ def homogeneous_reorder_witness_search(
         if coloring.k <= chi:
             continue
         partition = partition_from_coloring(coloring)
-        lengths = {v: 1 for v in range(n)}
         lats = set()
-        for perm in itertools.permutations(range(coloring.k)):
-            ordered = tuple(partition[i] for i in perm)
-            lats.add(latency(level_schedule(ordered, g), lengths))
+        for lat in _order_latencies(partition, g, {v: 1 for v in range(n)}):
+            lats.add(lat)
             if len(lats) > 1:
                 block = block_from_graph(g, [1] * n)
                 return Witness(

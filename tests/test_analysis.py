@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -25,8 +26,8 @@ from blocksched.coloring import descending_degree_order, exact_min_coloring, gre
 from blocksched.conflict import ConflictGraph, build_conflict_graph
 from blocksched.errors import CapacityError, ValidationError
 from blocksched.model import block_from_text
-from blocksched.schedule import is_valid_schedule, latency, total_order_schedule
-from blocksched.workload import block_from_graph, chain_block
+from blocksched.schedule import dump_schedule, is_valid_schedule, latency, total_order_schedule
+from blocksched.workload import WorkloadSpec, block_from_graph, chain_block, gen_block
 
 from conftest import (
     assert_rows_match_checked_graph,
@@ -118,6 +119,8 @@ def test_transform_round_trips_conflict_graph():
     assert build_conflict_graph(block) == triangle
     edgeless = ConflictGraph(n=5, edges=frozenset())
     assert build_conflict_graph(transform_graph_to_block(edgeless, 2)).edges == frozenset()
+    with pytest.raises(ValidationError, match="length must be positive"):
+        transform_graph_to_block(triangle, 0)
 
 
 def test_transform_five_cycle_latency_is_three_c():
@@ -362,3 +365,39 @@ def test_gnp_graph_equals_checked_construction(n, p, seed):
     g = gnp_graph(n, p, seed)
     assert g.n == n
     assert_rows_match_checked_graph(g)
+
+
+def _analysis_digest():
+    """One sha256 over the catalog's rows, every counterexample-search report
+    and reorder witness, and the oracles' witnesses and values on seeded
+    heterogeneous blocks (n 0..8; the orientation oracle for n <= 7)."""
+    digest = hashlib.sha256()
+
+    def put(*items):
+        digest.update(repr(items).encode())
+
+    for g in connected_graph_catalog(5):
+        put(g.neighbors)
+    for homogeneous in (False, True):
+        report = hetero_counterexample_search(
+            n_max=6, trials=300, seed=5, homogeneous=homogeneous, stop_when=None
+        )
+        put(report.trials_run, report.counts)
+        for w in report.witnesses.values():
+            put(w.phenomenon, w.trial, w.block_text, w.detail)
+    for seed in (0, 1):
+        put(homogeneous_reorder_witness_search(n_max=6, trials=2000, seed=seed))
+    for i in range(40):
+        spec = WorkloadSpec(n_txs=i % 9, key_universe=6, length_mode="heterogeneous", seed=i)
+        block = gen_block(spec)
+        witness, best = optimal_schedule_oracle(block)
+        put(dump_schedule(witness), best)
+        if len(block.txs) <= 7:
+            put(optimal_latency_all_orientations(block))
+    return digest.hexdigest()
+
+
+def test_analysis_golden():
+    # byte-identical analysis outputs; the heterogeneous search hits all three
+    # phenomena (counts 83, 2, 1), so every witness-recording site is pinned
+    assert _analysis_digest() == "8691e4c9b9e7401df56e2cd433bd337a283043bf16f01d029a167aa238c7b9c7"

@@ -328,6 +328,18 @@ def test_smr_resume(tmp_path, capsys):
     assert resumed_out.strip() == full_out.strip()
 
 
+def test_smr_resume_without_a_ledger_file(tmp_path, capsys):
+    stream = tmp_path / "stream.jsonl"
+    write_stream_file(stream, gen_commutative_stream(5, n=8, seed=3))
+    code, plain_out, _ = run_cli(capsys, "smr", str(stream), "--ledger", str(tmp_path / "ref"))
+    assert code == 0
+    ledger = tmp_path / "ledger"
+    code, out, _ = run_cli(capsys, "smr", str(stream), "--ledger", str(ledger), "--resume")
+    assert code == 0
+    assert out == plain_out
+    assert ledger.read_bytes() == (tmp_path / "ref").read_bytes()
+
+
 def test_smr_rejects_a_negative_max_blocks_before_touching_the_ledger(tmp_path, capsys):
     stream = tmp_path / "stream.jsonl"
     write_stream_file(stream, gen_stream([WorkloadSpec(n_txs=5, seed=i) for i in range(3)]))
@@ -524,6 +536,14 @@ def test_oracle_chain(chain_file, capsys):
     code, out, _ = run_cli(capsys, "oracle", chain_file, "--double-check")
     assert code == 0
     assert "optimal_latency 2" in out
+
+
+def test_oracle_double_check_reports_a_disagreement(chain_file, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "optimal_latency_all_orientations", lambda block: 99)
+    code, out, err = run_cli(capsys, "oracle", chain_file, "--double-check")
+    assert code == 4
+    assert out == ""
+    assert "invariant violation: oracles disagree: partitions 2, orientations 99\n" in err
 
 
 def test_oracle_triangle(tmp_path, capsys):

@@ -69,6 +69,7 @@ def test_greedy_path_six_matches_brute_chromatic():
     coloring = greedy_coloring(g, descending_degree_order(g))
     assert coloring.k == 2
     assert is_legal(coloring, g)
+    assert not is_legal(coloring, path_graph(7))
 
 
 def test_greedy_rejects_non_permutation():

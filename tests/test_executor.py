@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import sys
@@ -18,7 +19,7 @@ from blocksched.executor import (
     simulate_execution,
     stress_determinism,
 )
-from blocksched.model import GlobalState, ProgramKind, stable_seed
+from blocksched.model import GlobalState, ProgramKind, TxResult, stable_seed
 from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
@@ -66,6 +67,25 @@ def test_graph_execution_dependent_pair_always_agrees():
         out = execute_graph_schedule(block, s, EMPTY)
         assert out.state_changes == {"x": 1, "y": 2}
         assert out.results_by_id()[1].read_values == {"x": 1}
+
+
+def test_outcome_before_start_is_rejected():
+    handle = GraphExecutionHandle(writer_reader_block(), GraphSchedule(n=2, edges={(0, 1)}), EMPTY)
+    with pytest.raises(ValidationError, match="execution was never started"):
+        handle.outcome()
+
+
+def test_outcome_diff_reports_each_difference():
+    want = execute_sequential(writer_reader_block(), [0, 1], EMPTY)
+    assert executor._outcome_diff("t", want, want) is None
+    changed = dataclasses.replace(want, state_changes={"x": 1, "y": 3})
+    assert executor._outcome_diff("t", changed, want).startswith("t: state changes differ\n")
+    missing = dataclasses.replace(want, results=want.results[:1])
+    assert executor._outcome_diff("t", missing, want) == "t: result id sets differ: [0] vs [0, 1]"
+    stale = dataclasses.replace(want, results=(want.results[0], TxResult(1, {"x": 0}, {"y": 1})))
+    assert executor._outcome_diff("t", stale, want) == (
+        "t: tx 1 differs\n got: reads={'x': 0} writes={'y': 1}\nwant: reads={'x': 1} writes={'y': 2}"
+    )
 
 
 def test_graph_execution_independent_writers_any_arrival_order():

@@ -366,6 +366,15 @@ def test_kill_and_resume_matches_uninterrupted(tmp_path):
     assert partial_path.read_bytes() == (tmp_path / "full").read_bytes()
 
 
+def test_resume_onto_a_missing_ledger_matches_a_plain_run(tmp_path):
+    blocks = gen_commutative_stream(5, n=8, seed=3)
+    plain = run_main_loop(make_runner("min-coloring"), blocks, EMPTY, tmp_path / "plain")
+    fresh = tmp_path / "fresh"
+    resumed = run_main_loop(make_runner("min-coloring"), blocks, EMPTY, fresh, resume=True)
+    assert resumed == plain
+    assert fresh.read_bytes() == (tmp_path / "plain").read_bytes()
+
+
 def test_resume_detects_divergence(tmp_path):
     blocks = gen_stream(stream_specs(3))
     run_main_loop(make_runner("min-coloring"), blocks, EMPTY, tmp_path / "ledger", max_blocks=2)

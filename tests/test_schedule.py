@@ -282,6 +282,17 @@ def test_total_order_keeps_all_conflict_edges():
     assert len(s.edges) == len(g.edges)
 
 
+def test_total_order_rejects_a_size_mismatch():
+    block = chain_block(5)
+    with pytest.raises(ValidationError, match="block has 4 transactions, conflict graph has 5"):
+        total_order_schedule(block.txs[:4], build_conflict_graph(block))
+
+
+def test_batch_to_graph_rejects_ids_that_skip_a_vertex():
+    with pytest.raises(ValidationError, match=r"batches must cover ids 0\.\.1"):
+        batch_to_graph(BatchSchedule(batches=((0,), (2,))))
+
+
 def test_batch_to_graph_two_singletons():
     b = BatchSchedule(batches=((0,), (1,)))
     assert batch_to_graph(b).edges == frozenset({(0, 1)})
