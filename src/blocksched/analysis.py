@@ -31,7 +31,7 @@ from .coloring import (
 from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ValidationError
 from .model import Block, block_to_text, stable_seed
-from .schedule import GraphSchedule, _set_bits, latency, level_schedule
+from .schedule import GraphSchedule, latency, level_schedule
 from .workload import block_from_graph, gnp_edges
 
 # Bounds of the exhaustive searches, read when each search is called.
@@ -46,6 +46,14 @@ LENGTH_CHOICES = (1, 2, 5, 10, 100, 1000)
 # ---------------------------------------------------------------------------
 # Optimal-latency oracles
 # ---------------------------------------------------------------------------
+
+def _set_bits(bits: int) -> Iterator[int]:
+    """Yield the indices of the set bits of a non-negative int, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
 
 def _independent_subsets(candidates: int, adj: Sequence[int]) -> Iterator[int]:
     """Non-empty independent subsets of the candidate bitmask, in lexicographic
@@ -545,10 +553,7 @@ def hetero_counterexample_search(
             detail = f"minimal colorings with level latencies {overall_min} and {overall_max}"
             report.record("a", trial, block, detail)
 
-        needs_oracle = not homogeneous and (
-            "b" not in report.witnesses or "c" not in report.witnesses
-        )
-        if needs_oracle:
+        if not homogeneous:
             _, min_lt = optimal_schedule_oracle(block)
             b_hit = None
             for (p_min, p_max) in per_partition:

@@ -80,7 +80,8 @@ def _sleep_jitter(rng: random.Random | None, max_jitter_us: int) -> None:
 
 
 def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -> ExecutionOutcome:
-    """Run transactions one by one against an evolving copy of the state.
+    """Run transactions one by one, reading through an overlay of their
+    writes over the state, which is never copied.
 
     This is the reference oracle every concurrent path is compared against.
     """
@@ -88,18 +89,15 @@ def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -
     if sorted(order) != sorted(ids):
         raise ValidationError("order must be a permutation of the block's transaction ids")
     by_id = {tx.id: tx for tx in block.txs}
-    store = {k: v for k, v in state.items()}
-    written_keys: set[str] = set()
+    overlay: dict[str, int] = {}
     results: list[TxResult] = []
     for tx_id in order:
         tx = by_id[tx_id]
-        reads = {k: store.get(k, 0) for k in sorted(tx.read_set)}
+        reads = {k: overlay[k] if k in overlay else state.get(k) for k in sorted(tx.read_set)}
         written = run_program(tx, reads)
-        for key in sorted(written):
-            store[key] = written[key]
-        written_keys.update(written)
+        overlay.update(written)
         results.append(TxResult(tx_id=tx.id, read_values=reads, written_values=written))
-    changes = {k: store[k] for k in sorted(written_keys)}
+    changes = {k: overlay[k] for k in sorted(overlay)}
     return ExecutionOutcome(results=tuple(results), state_changes=changes)
 
 

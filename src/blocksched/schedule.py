@@ -1,9 +1,13 @@
 """Graph schedules: representation, validity, latency, and synthesis.
 
 A graph schedule is a DAG over a block's transaction ids, stored as one
-sorted predecessor row per transaction. It is valid for a conflict graph
-when every conflicting pair is connected by a directed path, which is the
-premise the concurrent executor needs to stay serializable.
+sorted predecessor row per transaction, beside a topological order: the one
+its producer built the rows in. It is valid for a conflict graph when every
+conflicting pair is connected by a directed path, which is the premise the
+concurrent executor needs to stay serializable. Producers level a partition
+on the conflict graph's neighbour rows, and the plan path (build, check,
+latency) walks the rows in the stored order: it builds no successor rows,
+canonical order or adjacency bitsets.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .coloring import Coloring, _check_lengths
 from .conflict import ConflictGraph
@@ -24,10 +28,16 @@ class GraphSchedule:
     """Directed acyclic graph over vertex ids 0..n-1; u -> v means u runs before v.
 
     Stored: ``preds``, one ascending tuple of predecessor ids per vertex.
-    Derived and cached on first use: ``succs`` (ascending rows), ``edges``
-    (the frozenset of pairs (u, v)) and ``ancestor_bits``. ``GraphSchedule(n,
-    edges)`` checks every edge; the producers build rows and hand them to
-    ``_of_preds`` unchecked. Both reject a cycle.
+    Kept beside it, like the cached views and so outside ``==``, ``hash``
+    and ``repr``: ``_order``, a topological order (the producer's when it
+    gave a valid one, else the canonical one). ``ancestor_bits``,
+    ``finish_times`` and ``convert_to_coloring`` walk ``_order``; any
+    topological order gives them the same values. Derived and cached on
+    first use, for the executor and the dumps: ``succs`` (ascending rows),
+    ``edges`` (the frozenset of pairs (u, v)) and the canonical order of
+    ``topo_order()``. ``GraphSchedule(n, edges)`` checks every edge; the
+    producers build rows and hand them to ``_of_preds`` unchecked, with the
+    order they built them in. Both reject a cycle.
     """
 
     n: int
@@ -43,22 +53,31 @@ class GraphSchedule:
             if u == v:
                 raise ValidationError(f"self-loop on vertex {u}")
             rows[v].append(u)
-        self._set_preds([sorted(row) for row in rows])
+        self._set_preds([sorted(row) for row in rows], ())
 
     @classmethod
-    def _of_preds(cls, rows: Sequence[Sequence[int]]) -> GraphSchedule:
+    def _of_preds(cls, rows: Sequence[Sequence[int]], order: Sequence[int]) -> GraphSchedule:
         """The schedule over ``len(rows)`` vertices whose predecessor rows are
         ``rows``, which the caller built ascending, in range and free of
-        self-loops; acyclicity is still checked."""
+        self-loops, in the topological ``order`` it gives. Acyclicity is
+        still checked: by ``order`` in one pass, or, when ``order`` is not a
+        topological order of the rows, by the canonical order."""
         s = object.__new__(cls)
-        s._set_preds(rows)
+        s._set_preds(rows, order)
         return s
 
-    def _set_preds(self, rows: Sequence[Sequence[int]]) -> None:
+    def _set_preds(self, rows: Sequence[Sequence[int]], order: Sequence[int]) -> None:
         object.__setattr__(self, "n", len(rows))
         object.__setattr__(self, "preds", tuple(map(tuple, rows)))
-        if len(self._topo) != self.n:
+        if _is_topological(self.preds, order):
+            object.__setattr__(self, "_order", tuple(order))
+        elif len(self._topo) != self.n:
             raise ValidationError("schedule edges contain a cycle")
+
+    @cached_property
+    def _order(self) -> tuple[int, ...]:
+        """A topological order: the producer's, set by ``_set_preds``, else canonical."""
+        return self._topo
 
     @cached_property
     def succs(self) -> tuple[tuple[int, ...], ...]:
@@ -98,12 +117,29 @@ class GraphSchedule:
     def ancestor_bits(self) -> tuple[int, ...]:
         """Per vertex, the bitset of vertices with a directed path into it."""
         anc = [0] * self.n
-        for v in self._topo:
+        for v in self._order:
             acc = 0
             for u in self.preds[v]:
                 acc |= anc[u] | (1 << u)
             anc[v] = acc
         return tuple(anc)
+
+
+def _is_topological(rows: Sequence[Sequence[int]], order: Sequence[int]) -> bool:
+    """True iff ``order`` lists each vertex of ``rows`` once, after all of its
+    predecessors: the O(n + m) proof that the rows are acyclic."""
+    n = len(rows)
+    if len(order) != n:
+        return False
+    placed = [False] * n
+    for v in order:
+        if not 0 <= v < n or placed[v]:
+            return False
+        for u in rows[v]:
+            if not placed[u]:
+                return False
+        placed[v] = True
+    return True
 
 
 @dataclass(frozen=True)
@@ -163,7 +199,7 @@ def convert_to_coloring(s: GraphSchedule, g: ConflictGraph | None = None) -> Col
             f"must order every conflicting pair of a graph on {g.n}"
         )
     depth = [0] * s.n
-    for v in s._topo:
+    for v in s._order:
         depth[v] = 1 + max((depth[u] for u in s.preds[v]), default=0)
     return Coloring(tuple(depth))
 
@@ -181,7 +217,7 @@ def finish_times(s: GraphSchedule, lengths: Mapping[int, int]) -> list[int]:
     """Per vertex, the maximum weighted path length ending at it (inclusive)."""
     _check_lengths(lengths, s.n)
     finish = [0] * s.n
-    for v in s._topo:
+    for v in s._order:
         best = 0
         for u in s.preds[v]:
             if finish[u] > best:
@@ -214,40 +250,31 @@ def latency_stats(s: GraphSchedule, lengths: Mapping[int, int]) -> LatencyReport
     )
 
 
-def _set_bits(bits: int) -> Iterator[int]:
-    """Yield the indices of the set bits of a non-negative int, lowest first."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def _normalize_partition(
     partition: Sequence[Sequence[int]], g: ConflictGraph
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Sorted levels and their member bitsets; rejects overlaps, gaps and in-level conflicts."""
+    """Sorted levels and each vertex's level index; rejects overlaps, gaps and
+    in-level conflicts."""
     levels = tuple(tuple(sorted(level)) for level in partition)
-    masks: list[int] = []
-    seen = 0
+    n, rows = g.n, g.neighbors
+    level_of = [-1] * n
+    level_at = level_of.__getitem__
     for i, level in enumerate(levels):
-        members = 0
         for v in level:
-            if not 0 <= v < g.n:
+            if not 0 <= v < n:
                 raise ValidationError(f"level {i}: vertex {v} out of range")
-            if ((seen | members) >> v) & 1:
+            if level_of[v] >= 0:
                 raise ValidationError(f"vertex {v} appears in more than one level")
-            members |= 1 << v
+            level_of[v] = i
         for u in level:
-            # neighbours of u inside the level with an id above u
-            clash = g.adj_bits[u] & members & ~((2 << u) - 1)
-            if clash:
-                v = next(_set_bits(clash))
+            # u ascending: a clash with a lower id was already reported at it,
+            # so any neighbour of u in the level has a higher id
+            if i in map(level_at, rows[u]):
+                v = next(v for v in rows[u] if level_of[v] == i)
                 raise ValidationError(f"level {i} is not conflict-free: pair ({u}, {v}) conflicts")
-        masks.append(members)
-        seen |= members
-    if seen != (1 << g.n) - 1:
+    if sum(map(len, levels)) != n:
         raise ValidationError("partition does not cover all vertices")
-    return levels, masks
+    return levels, level_of
 
 
 def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> GraphSchedule:
@@ -258,19 +285,24 @@ def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> Grap
     pair, scanning prior levels from nearest to farthest; the result carries
     no redundant edges.
     """
-    levels, masks = _normalize_partition(partition, g)
+    levels, level_of = _normalize_partition(partition, g)
+    level_at = level_of.__getitem__
+    rows = g.neighbors
     preds: list[list[int]] = [[] for _ in range(g.n)]
     anc = [0] * g.n  # incremental ancestor bitsets of the schedule built so far
     for i, current in enumerate(levels):
         for v in current:
+            earlier = [u for u in rows[v] if level_of[u] < i]
+            if len(earlier) > 1:
+                earlier.sort(key=level_at, reverse=True)  # nearest level first
             row, acc = preds[v], 0
-            for j in range(i - 1, -1, -1):
-                for u in _set_bits(g.adj_bits[v] & masks[j] & ~acc):
+            for u in earlier:
+                if not (acc >> u) & 1:
                     row.append(u)
                     acc |= anc[u] | (1 << u)
             row.sort()
             anc[v] = acc
-    return GraphSchedule._of_preds(preds)
+    return GraphSchedule._of_preds(preds, [v for level in levels for v in level])
 
 
 def total_order_schedule(txs: Sequence[Transaction], g: ConflictGraph) -> GraphSchedule:
@@ -279,7 +311,7 @@ def total_order_schedule(txs: Sequence[Transaction], g: ConflictGraph) -> GraphS
         raise ValidationError(f"block has {len(txs)} transactions, conflict graph has {g.n}")
     position = {tx.id: idx for idx, tx in enumerate(txs)}
     preds = [[u for u in row if position[u] < position[v]] for v, row in enumerate(g.neighbors)]
-    return GraphSchedule._of_preds(preds)
+    return GraphSchedule._of_preds(preds, list(position))
 
 
 def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
@@ -292,7 +324,7 @@ def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
     for earlier, later in zip(b.batches, b.batches[1:]):
         for v in later:
             preds[v] = earlier
-    return GraphSchedule._of_preds(preds)
+    return GraphSchedule._of_preds(preds, [v for batch in b.batches for v in batch])
 
 
 def batch_latency(b: BatchSchedule, lengths: Mapping[int, int]) -> int:

@@ -399,5 +399,6 @@ def _analysis_digest():
 
 def test_analysis_golden():
     # byte-identical analysis outputs; the heterogeneous search hits all three
-    # phenomena (counts 83, 2, 1), so every witness-recording site is pinned
-    assert _analysis_digest() == "8691e4c9b9e7401df56e2cd433bd337a283043bf16f01d029a167aa238c7b9c7"
+    # phenomena (counts 83, 83, 18: every non-homogeneous trial runs the oracle
+    # checks), so every witness-recording site is pinned
+    assert _analysis_digest() == "a63f89cf0c9369d4eeb360ddb4dc8e233978826b11bcd9b4daf5b4c24c6ed8b1"

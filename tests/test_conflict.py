@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from blocksched.analysis import gnp_graph, ratio_sample
 from blocksched.conflict import ConflictGraph, build_conflict_graph, conflicts, dump_edges
 from blocksched.errors import ValidationError
-from blocksched.model import Block, GlobalState
-from blocksched.replication import make_runner, process_block
+from blocksched.model import Block, GlobalState, block_from_text, block_to_text
+from blocksched.replication import make_runner, plan_block, process_block
 from blocksched.schedule import GraphSchedule, latency_stats
 from blocksched.workload import WorkloadSpec, chain_block, gen_block
 
@@ -169,4 +169,31 @@ def test_timed_paths_never_build_the_edge_view(monkeypatch):
     block = gen_block(WorkloadSpec(n_txs=60, key_universe=24, seed=2))
     for name in ("min-coloring", "batch"):
         process_block(make_runner(name), block, GlobalState())
+    assert built == []
+
+
+def test_plan_paths_build_no_successors_canonical_order_or_bitsets(monkeypatch):
+    # the plan-large schedule path (greedy, order) and plan_block (greedy,
+    # batch) prove acyclicity with the producer's order and level a partition
+    # on the rows: no successor rows, canonical order or adjacency bitsets
+    built = []
+    for cls, name in ((GraphSchedule, "succs"), (GraphSchedule, "_topo"), (ConflictGraph, "adj_bits")):
+        real = cls.__dict__[name].func
+
+        def view(x, name=name, real=real):
+            built.append((name, x.n))
+            return real(x)
+
+        monkeypatch.setattr(cls, name, property(view))
+    for universe in (16, 400):
+        text = block_to_text(gen_block(WorkloadSpec(n_txs=400, key_universe=universe, seed=1)))
+        for name in ("greedy", "order"):
+            runner = make_runner(name)
+            block = block_from_text(text)
+            g = build_conflict_graph(block)
+            plan = runner.make_schedule(block.txs, g)
+            assert runner.validate_schedule(block.txs, g, plan)
+            latency_stats(plan.schedule, {tx.id: tx.length for tx in block.txs})
+        for name in ("greedy", "batch"):
+            plan_block(make_runner(name), block_from_text(text))
     assert built == []

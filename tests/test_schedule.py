@@ -480,8 +480,90 @@ def test_built_schedules_equal_checked_construction(n, universe, conflict_p, see
 
 
 def test_trusted_schedule_still_rejects_a_cycle():
-    with pytest.raises(ValidationError, match="cycle"):
-        GraphSchedule._of_preds([[2], [0], [1]])
+    # no order of a cycle lists every vertex after its predecessors, so each
+    # supplied order falls back to the canonical check
+    for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0], [0, 0, 0], [], [0, 1, 2, 3], [-1, 0, 1]):
+        with pytest.raises(ValidationError, match="cycle"):
+            GraphSchedule._of_preds([[2], [0], [1]], order)
+
+
+def views_along(s, order, lengths):
+    """Ancestor bitsets, finish times and depths computed by walking ``order``."""
+    anc, finish, depth = [0] * s.n, [0] * s.n, [0] * s.n
+    for v in order:
+        for u in s.preds[v]:
+            anc[v] |= anc[u] | (1 << u)
+        finish[v] = max((finish[u] for u in s.preds[v]), default=0) + lengths[v]
+        depth[v] = 1 + max((depth[u] for u in s.preds[v]), default=0)
+    return tuple(anc), finish, tuple(depth)
+
+
+def views_of(s, lengths, g=None):
+    return s.ancestor_bits, finish_times(s, lengths), convert_to_coloring(s, g).colors
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(2, 12))
+def test_of_preds_rejects_cyclic_rows_whatever_order(seed, n):
+    rng = random.Random(seed)
+    s = random_valid_schedule(random_graph(rng, n, 0.5), rng)
+    order = s.topo_order()
+    i, j = sorted(rng.sample(range(n), 2))
+    rows = [set(row) for row in s.preds]
+    for a, b in zip(order[i:j], order[i + 1 : j + 1]):
+        rows[b].add(a)  # a path order[i] -> ... -> order[j]
+    rows[order[i]].add(order[j])  # and back
+    rows = [sorted(row) for row in rows]
+    shuffled = order[:]
+    rng.shuffle(shuffled)
+    sources = [v for v in range(n) if not rows[v]] or [0]
+    for candidate in (order, order[::-1], shuffled, list(range(n)), sources[:1] * n, order[:-1], order + [n]):
+        with pytest.raises(ValidationError, match="cycle"):
+            GraphSchedule._of_preds(rows, candidate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(1, 12))
+def test_of_preds_accepts_acyclic_rows_under_a_wrong_order(seed, n):
+    rng = random.Random(seed)
+    s = random_valid_schedule(random_graph(rng, n, 0.5), rng)
+    lengths = {v: rng.choice([1, 2, 5, 10]) for v in range(n)}
+    order = s.topo_order()
+    shuffled = order[:]
+    rng.shuffle(shuffled)
+    wrong = (
+        order[::-1],
+        shuffled,
+        [order[0]] * n,  # every predecessor placed, yet not a permutation
+        order[:-1],
+        order + [order[-1]],
+        order[:-1] + [n],
+        order[:-1] + [-1],
+    )
+    for candidate in wrong:
+        t = GraphSchedule._of_preds(s.preds, candidate)
+        assert t == s
+        assert views_of(t, lengths) == views_along(s, order, lengths)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 150), universe=st.integers(4, 40), seed=st.integers(0, 2**32))
+def test_producer_views_equal_the_values_along_topo_order(n, universe, seed):
+    # the producers' own orders are not the canonical one (levels by size,
+    # a shuffled list order), yet every view walked along them is the same
+    spec = WorkloadSpec(n_txs=n, key_universe=universe, length_mode="heterogeneous", seed=seed)
+    block = gen_block(spec)
+    g = build_conflict_graph(block)
+    lengths = lengths_of(block)
+    levels = size_descending_color_order(greedy_coloring(g, descending_degree_order(g)))
+    shuffled = list(block.txs)
+    random.Random(seed).shuffle(shuffled)
+    for s in (
+        level_schedule(levels, g),
+        total_order_schedule(shuffled, g),
+        batch_to_graph(BatchSchedule(levels)),
+    ):
+        assert views_of(s, lengths, g) == views_along(s, s.topo_order(), lengths)
 
 
 # (gen_block spec, sha256 of the ``dump_schedule`` of every built-in runner's
