@@ -86,8 +86,8 @@ def _component_optimum(
         for u in g.neighbors[v]:
             adj[i] |= 1 << index[u]
     lens = [lengths[vertices[i]] for i in range(m)]
-    # normalized state -> (its optimum, the first level that reaches it)
-    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+    # normalized state -> (its optimum, the level masks of its first optimal partition)
+    memo: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
 
     def step(
         mask: int, rd: dict[int, int], level_mask: int
@@ -109,39 +109,29 @@ def _component_optimum(
             new_ready.append(r)
         return max(finish.values()), rest, tuple(new_ready)
 
-    def solve(mask: int, ready: tuple[int, ...]) -> int:
+    def solve(mask: int, ready: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         if mask == 0:
-            return 0
+            return 0, ()
         shift = min(ready)
         if shift:
             ready = tuple(r - shift for r in ready)
         key = (mask, ready)
         cached = memo.get(key)
         if cached is not None:
-            return cached[0] + shift
+            return cached[0] + shift, cached[1]
         rd = dict(zip(_set_bits(mask), ready))
         best: int | None = None
         for level_mask in _independent_subsets(mask, adj):
             level_max, rest, new_ready = step(mask, rd, level_mask)
-            val = max(level_max, solve(rest, new_ready))
-            if best is None or val < best:
-                best, best_level = val, level_mask
-        memo[key] = (best, best_level)
-        return best + shift
+            tail, tail_levels = solve(rest, new_ready)
+            val = max(level_max, tail)
+            if best is None or val < best:  # ties keep the first optimal level
+                best, levels = val, (level_mask, *tail_levels)
+        memo[key] = (best, levels)
+        return best + shift, levels
 
-    full = (1 << m) - 1
-    optimum = solve(full, (0,) * m)
-
-    # the lex-first optimal partition follows each state's first optimal level
-    levels: list[tuple[int, ...]] = []
-    mask, ready = full, (0,) * m
-    while mask:
-        shift = min(ready)
-        ready = tuple(r - shift for r in ready)
-        level_mask = memo[(mask, ready)][1]
-        levels.append(tuple(vertices[v] for v in _set_bits(level_mask)))
-        _, mask, ready = step(mask, dict(zip(_set_bits(mask), ready)), level_mask)
-    return optimum, tuple(levels)
+    optimum, level_masks = solve((1 << m) - 1, (0,) * m)
+    return optimum, tuple(tuple(vertices[v] for v in _set_bits(lm)) for lm in level_masks)
 
 
 def _component(g: ConflictGraph, start: int) -> list[int]:

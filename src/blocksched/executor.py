@@ -263,28 +263,14 @@ class _EarlyReleaseHandle(GraphExecutionHandle):
 
 
 class BatchExecutionHandle(GraphExecutionHandle):
-    """Strictly sequential batches on the graph engine: no edges, and a
-    barrier that opens a batch only once the previous one has finished, so
-    every transaction reads the state committed by the prior batches."""
+    """Strictly sequential batches on the graph engine: an edgeless schedule,
+    the graph handle's keyword options, and a barrier that opens a batch only
+    once the previous one has finished, so every transaction reads the state
+    committed by the prior batches."""
 
-    def __init__(
-        self,
-        block: Block,
-        batches: BatchSchedule,
-        state: GlobalState,
-        *,
-        jitter_seed: int | None = None,
-        max_jitter_us: int = 0,
-        trace: bool = False,
-    ) -> None:
-        super().__init__(
-            block,
-            GraphSchedule(n=len(block.txs), edges=frozenset()),
-            state,
-            jitter_seed=jitter_seed,
-            max_jitter_us=max_jitter_us,
-            trace=trace,
-        )
+    def __init__(self, block: Block, batches: BatchSchedule, state: GlobalState, **options) -> None:
+        n = len(block.txs)
+        super().__init__(block, GraphSchedule._of_preds([()] * n, range(n)), state, **options)
         self._batches = batches.batches
 
 

@@ -20,7 +20,7 @@ import hashlib
 import itertools
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence, Union
 
@@ -219,6 +219,8 @@ def process_block(
 
 @dataclass(frozen=True)
 class LedgerRecord:
+    """One ledger record; ``Ledger.append`` writes its fields in this order."""
+
     seq: int
     block_hash: str
     results_digest: str
@@ -243,22 +245,14 @@ def results_digest(results: BlockResults) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _record_digest(prev_digest: str, seq: int, bhash: str, rdigest: str, sdigest: str) -> str:
+def make_record(prev_digest: str, seq: int, bhash: str, rdigest: str, sdigest: str) -> LedgerRecord:
+    """The record of one block, chained to the previous record's digest: the
+    main loop writes it, and ``Ledger`` re-derives it to verify each record."""
     payload = json.dumps(
         {"prev": prev_digest, "seq": seq, "block": bhash, "results": rdigest, "state": sdigest},
         separators=(",", ":"),
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def make_record(prev_digest: str, seq: int, bhash: str, rdigest: str, sdigest: str) -> LedgerRecord:
-    return LedgerRecord(
-        seq=seq,
-        block_hash=bhash,
-        results_digest=rdigest,
-        state_digest=sdigest,
-        record_digest=_record_digest(prev_digest, seq, bhash, rdigest, sdigest),
-    )
+    return LedgerRecord(seq, bhash, rdigest, sdigest, hashlib.sha256(payload.encode()).hexdigest())
 
 
 class Ledger:
@@ -271,16 +265,7 @@ class Ledger:
         self.path = Path(path)
 
     def append(self, record: LedgerRecord) -> None:
-        payload = json.dumps(
-            {
-                "seq": record.seq,
-                "block_hash": record.block_hash,
-                "results_digest": record.results_digest,
-                "state_digest": record.state_digest,
-                "record_digest": record.record_digest,
-            },
-            separators=(",", ":"),
-        ).encode()
+        payload = json.dumps(asdict(record), separators=(",", ":")).encode()
         with open(self.path, "ab") as fh:
             fh.write(struct.pack(">I", len(payload)))
             fh.write(payload)
@@ -332,19 +317,15 @@ class Ledger:
                     raise ParseError(error)
                 try:
                     obj = json.loads(payload)
-                    record = LedgerRecord(
-                        seq=obj["seq"],
-                        block_hash=obj["block_hash"],
-                        results_digest=obj["results_digest"],
-                        state_digest=obj["state_digest"],
-                        record_digest=obj["record_digest"],
+                    if type(obj["seq"]) is not int:  # a bool is rejected too
+                        raise TypeError(f"seq {obj['seq']!r} is not an integer")
+                    record = make_record(
+                        prev, obj["seq"], obj["block_hash"], obj["results_digest"], obj["state_digest"]
                     )
+                    stored = obj["record_digest"]
                 except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
                     raise ParseError(f"ledger record {index}: malformed payload") from exc
-                expect = _record_digest(
-                    prev, record.seq, record.block_hash, record.results_digest, record.state_digest
-                )
-                if expect != record.record_digest:
+                if record.record_digest != stored:
                     raise ParseError(f"ledger record {index}: digest chain broken")
                 if records and record.seq != records[-1].seq + 1:
                     raise ParseError(f"ledger record {index}: sequence gap")

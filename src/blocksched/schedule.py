@@ -160,10 +160,6 @@ class BatchSchedule:
                     raise ValidationError(f"vertex {v} appears in more than one batch")
                 seen.add(v)
 
-    @property
-    def ids(self) -> frozenset[int]:
-        return frozenset(v for batch in self.batches for v in batch)
-
 
 @dataclass(frozen=True)
 class LatencyReport:
@@ -198,10 +194,7 @@ def convert_to_coloring(s: GraphSchedule, g: ConflictGraph | None = None) -> Col
             f"schedule is not valid for the conflict graph: a schedule on {s.n} vertices "
             f"must order every conflicting pair of a graph on {g.n}"
         )
-    depth = [0] * s.n
-    for v in s._order:
-        depth[v] = 1 + max((depth[u] for u in s.preds[v]), default=0)
-    return Coloring(tuple(depth))
+    return Coloring(tuple(finish_times(s, {v: 1 for v in range(s.n)})))
 
 
 def is_valid_batch_schedule(b: BatchSchedule, g: ConflictGraph) -> bool:
@@ -316,15 +309,15 @@ def total_order_schedule(txs: Sequence[Transaction], g: ConflictGraph) -> GraphS
 
 def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
     """Full bipartite dependency edges between consecutive batches."""
-    ids = b.ids
-    n = len(ids)
-    if ids and ids != frozenset(range(n)):
+    order = [v for batch in b.batches for v in batch]
+    n = len(order)
+    if sorted(order) != list(range(n)):
         raise ValidationError(f"batches must cover ids 0..{n - 1}")
     preds: list[tuple[int, ...]] = [()] * n
     for earlier, later in zip(b.batches, b.batches[1:]):
         for v in later:
             preds[v] = earlier
-    return GraphSchedule._of_preds(preds, [v for batch in b.batches for v in batch])
+    return GraphSchedule._of_preds(preds, order)
 
 
 def batch_latency(b: BatchSchedule, lengths: Mapping[int, int]) -> int:

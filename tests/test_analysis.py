@@ -332,6 +332,43 @@ def test_hetero_search_reads_its_length_choices_at_call_time(monkeypatch):
         assert all(tx.length == 1 for tx in block_from_text(witness.block_text).txs)
 
 
+def test_hetero_search_finds_a_minimal_coloring_that_no_reordering_makes_optimal(monkeypatch):
+    # phenomenon (b)'s stronger clause, the paper's heterogeneous claim at its
+    # strongest: the best level order of some minimal coloring is still worse
+    # than the optimum. This run's first (b) witness is the weaker clause, so
+    # every recorded hit is collected
+    hits = []
+    record = CounterexampleReport.record
+
+    def collect(report, phenomenon, trial, block, detail):
+        hits.append((phenomenon, trial, block, detail))
+        record(report, phenomenon, trial, block, detail)
+
+    monkeypatch.setattr(CounterexampleReport, "record", collect)
+    hetero_counterexample_search(n_max=7, trials=255, seed=0, stop_when=None)
+    strongest = [hit for hit in hits if "best reordering" in hit[3]]
+    assert [(p, trial, detail) for p, trial, _, detail in strongest] == [
+        ("b", 254, "a minimal coloring whose best reordering is 1102 > optimum 1101")
+    ]
+    assert optimal_latency_all_orientations(strongest[0][2]) == 1101
+
+
+def test_min_color_partitions_stop_at_their_limit():
+    stopped = 0
+    for seed in range(60):
+        g = gnp_graph(5 + seed % 4, 0.4, seed)
+        k = exact_min_coloring(g).k
+        full = analysis._min_color_partitions(g, k, 10_000)
+        for limit in (1, 2, 3, 5):
+            assert analysis._min_color_partitions(g, k, limit) == full[:limit]
+            stopped += len(full) > limit
+    assert stopped > 100  # most cases end at the limit, not at the enumeration's end
+
+
+def test_homogeneous_reorder_search_without_trials_finds_nothing():
+    assert homogeneous_reorder_witness_search(trials=0) is None
+
+
 def test_hetero_search_rejects_nmax_above_cap():
     with pytest.raises(CapacityError):
         hetero_counterexample_search(n_max=11, trials=1)

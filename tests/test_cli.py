@@ -523,6 +523,21 @@ def test_smr_leaves_the_ledger_when_the_stream_cannot_be_read(
     assert written_ledger.read_bytes() == before
 
 
+def test_smr_resume_over_a_record_with_a_string_seq_exits_2(tmp_path, capsys, written_ledger):
+    first = replication.make_record("", "0", "aa", "bb", "cc")
+    written_ledger.write_bytes(b"")
+    ledger = replication.Ledger(written_ledger)
+    ledger.append(first)
+    ledger.append(replication.make_record(first.record_digest, 1, "aa", "bb", "cc"))
+    before = written_ledger.read_bytes()
+    stream = tmp_path / "stream.jsonl"
+    code, stdout, err = run_cli(capsys, "smr", str(stream), "--ledger", str(written_ledger), "--resume")
+    assert code == 2
+    assert err == "error: ledger record 0: malformed payload\n"
+    assert stdout == ""
+    assert written_ledger.read_bytes() == before
+
+
 def test_smr_over_an_empty_stream_still_truncates(tmp_path, capsys, written_ledger):
     stream = tmp_path / "empty.jsonl"
     stream.write_text("")

@@ -20,6 +20,7 @@ from blocksched.executor import (
     stress_determinism,
 )
 from blocksched.model import GlobalState, ProgramKind, TxResult, stable_seed
+from blocksched.replication import make_runner, plan_block, process_block
 from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
@@ -175,6 +176,21 @@ def test_batch_outcome_equals_graph_outcome_on_transform():
         assert {i: (r.read_values, r.written_values) for i, r in batch_out.results_by_id().items()} == {
             i: (r.read_values, r.written_values) for i, r in graph_out.results_by_id().items()
         }
+
+
+def test_batch_execution_builds_no_checked_schedule(monkeypatch):
+    # the barrier engine runs on an edgeless schedule whose identity order
+    # proves it acyclic: neither the checked constructor nor the canonical order
+    def refuse(*args, **kwargs):
+        raise AssertionError("batch execution built a checked schedule")
+
+    monkeypatch.setattr(GraphSchedule, "__init__", refuse)
+    monkeypatch.setattr(GraphSchedule, "_topo", property(refuse))
+    block = gen_block(WorkloadSpec(n_txs=40, key_universe=16, seed=3))
+    plan = plan_block(make_runner("batch"), block)
+    want = execute_sequential(block, [v for level in plan.levels for v in level], EMPTY)
+    assert execute_batch_schedule(block, plan.batches, EMPTY).state_changes == want.state_changes
+    assert process_block(make_runner("batch"), block, EMPTY)[0] == want.state_changes
 
 
 def test_simulate_path_makespan():

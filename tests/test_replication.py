@@ -1,5 +1,7 @@
+import json
 import threading
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -432,6 +434,29 @@ def test_ledger_rejects_a_sequence_gap(tmp_path):
     ledger.append(make_record(first.record_digest, 2, "h2", "r2", "s2"))
     with pytest.raises(ParseError, match="ledger record 1: sequence gap"):
         ledger.load()
+
+
+@pytest.mark.parametrize(
+    "seq, drop",
+    [("0", None), (False, None), (0, "record_digest")],
+    ids=["string-seq", "bool-seq", "no-record-digest"],
+)
+def test_ledger_rejects_a_malformed_record_with_an_intact_chain(tmp_path, seq, drop):
+    # every digest is right, so only the payload check can reject record 0
+    first = make_record(Ledger.GENESIS_DIGEST, seq, "h0", "r0", "s0")
+    payloads = [asdict(first), asdict(make_record(first.record_digest, 1, "h1", "r1", "s1"))]
+    if drop:
+        del payloads[0][drop]
+    raw = b""
+    for obj in payloads:
+        data = json.dumps(obj, separators=(",", ":")).encode()
+        raw += len(data).to_bytes(4, "big") + data
+    path = tmp_path / "ledger"
+    path.write_bytes(raw)
+    for read in (Ledger(path).load, Ledger(path).recover):
+        with pytest.raises(ParseError, match="ledger record 0: malformed payload"):
+            read()
+        assert path.read_bytes() == raw
 
 
 def record_offsets(raw):

@@ -20,6 +20,7 @@ from blocksched.replication import BUILTIN_RUNNERS, BatchPlan, make_runner, plan
 from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
+    LatencyReport,
     batch_latency,
     batch_to_graph,
     convert_to_coloring,
@@ -386,6 +387,10 @@ def test_latency_stats_two_vertex_path():
         "mean_latency",
         "p95_latency",
     ]
+
+
+def test_latency_stats_of_an_empty_schedule():
+    assert latency_stats(GraphSchedule(n=0, edges=()), {}) == LatencyReport(0, 0.0, 0)
 
 
 def test_latency_stats_wide_vs_narrow_first_level():
