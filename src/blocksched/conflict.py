@@ -74,11 +74,6 @@ class ConflictGraph:
             bits.append(b)
         return tuple(bits)
 
-    def are_adjacent(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValidationError(f"vertex out of range for n={self.n}")
-        return bool((self.adj_bits[u] >> v) & 1)
-
 
 def conflicts(tx1: Transaction, tx2: Transaction) -> bool:
     """True iff the pair clashes: read/write, write/read, or write/write overlap."""

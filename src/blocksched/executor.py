@@ -44,7 +44,7 @@ from .model import Block, GlobalState, Transaction, TxResult, run_program, stabl
 from .schedule import (
     BatchSchedule,
     GraphSchedule,
-    is_valid_batch_schedule,
+    check_partition,
     is_valid_schedule,
     latency,
 )
@@ -289,10 +289,7 @@ def execute_batch_schedule(
     block: Block, batches: BatchSchedule, state: GlobalState
 ) -> ExecutionOutcome:
     """Run the block batch by batch (blocking)."""
-    if not is_valid_batch_schedule(batches, build_conflict_graph(block)):
-        raise ValidationError(
-            "batches must partition the block's transaction ids into conflict-free batches"
-        )
+    check_partition(batches.batches, build_conflict_graph(block))
     handle = BatchExecutionHandle(block, batches, state)
     handle.start()
     return handle.outcome()

@@ -37,7 +37,7 @@ from .model import Block, GlobalState, Transaction, TxResult, block_hash, valida
 from .schedule import (
     BatchSchedule,
     GraphSchedule,
-    is_valid_batch_schedule,
+    check_partition,
     is_valid_schedule,
     level_schedule,
     size_descending_color_order,
@@ -166,9 +166,13 @@ class BlockRunner:
     def validate_schedule(
         self, txs: Sequence[Transaction], constraints: ConflictGraph, plan: Any
     ) -> bool:
-        if isinstance(plan, BatchPlan):
-            return is_valid_batch_schedule(plan.batches, constraints)
-        return isinstance(plan, GraphPlan) and is_valid_schedule(plan.schedule, constraints)
+        """Whether ``plan`` passes ``plan_block``'s check, without its reason.
+        Only the benchmark harness calls this; ``plan_block`` does not."""
+        try:
+            _check_plan(plan, constraints)
+        except ValidationError:
+            return False
+        return True
 
     def init_execution(
         self, block: Block, plan: GraphPlan | BatchPlan, state: GlobalState, *, trace: bool = False
@@ -182,16 +186,29 @@ def make_runner(name: str, *, epsilon_cutoff: int | None = None) -> BlockRunner:
     return BlockRunner(name, epsilon_cutoff)
 
 
+def _check_plan(plan: Any, constraints: ConflictGraph) -> None:
+    """Raise ``ValidationError`` unless ``plan`` is a valid plan for ``constraints``."""
+    if isinstance(plan, BatchPlan):
+        check_partition(plan.batches.batches, constraints)
+    elif not isinstance(plan, GraphPlan):
+        raise ValidationError(f"plan is a {type(plan).__name__}, not a GraphPlan or BatchPlan")
+    elif not is_valid_schedule(plan.schedule, constraints):
+        raise ValidationError("some conflicting pair has no dependency path")
+
+
 def plan_block(runner: BlockRunner, block: Block) -> GraphPlan | BatchPlan:
     """The runner's plan for a valid block, checked against its conflict graph.
 
     This is the one place a runner's plan is checked: a plan that fails the
-    runner's own check is a fatal configuration error (InvariantError).
+    check is a fatal configuration error, an ``InvariantError`` chained to
+    the check's ``ValidationError`` and carrying its reason.
     """
     constraints = build_conflict_graph(block)
     plan = runner.make_schedule(block.txs, constraints)
-    if not runner.validate_schedule(block.txs, constraints, plan):
-        raise InvariantError(f"runner {runner.name!r} produced an invalid schedule")
+    try:
+        _check_plan(plan, constraints)
+    except ValidationError as exc:
+        raise InvariantError(f"runner {runner.name!r} produced an invalid schedule: {exc}") from exc
     return plan
 
 

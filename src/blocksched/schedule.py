@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .coloring import Coloring, _check_lengths
+from .coloring import Coloring, _check_lengths, partition_from_coloring
 from .conflict import ConflictGraph
 from .errors import ValidationError
 from .model import Transaction
@@ -182,28 +182,13 @@ def is_valid_schedule(s: GraphSchedule, g: ConflictGraph) -> bool:
     )
 
 
-def convert_to_coloring(s: GraphSchedule, g: ConflictGraph | None = None) -> Coloring:
+def convert_to_coloring(s: GraphSchedule) -> Coloring:
     """Color every vertex by its depth in the scheduling DAG (sources get 1).
 
-    The number of colors equals the DAG's vertex depth. If ``g`` is given,
-    ``s`` must be valid for it (:func:`is_valid_schedule`); then the coloring
-    is legal for ``g``.
+    The number of colors equals the DAG's vertex depth; the coloring is legal
+    for a conflict graph that ``s`` is valid for (:func:`is_valid_schedule`).
     """
-    if g is not None and (s.n != g.n or not is_valid_schedule(s, g)):
-        raise ValidationError(
-            f"schedule is not valid for the conflict graph: a schedule on {s.n} vertices "
-            f"must order every conflicting pair of a graph on {g.n}"
-        )
     return Coloring(tuple(finish_times(s, {v: 1 for v in range(s.n)})))
-
-
-def is_valid_batch_schedule(b: BatchSchedule, g: ConflictGraph) -> bool:
-    """True iff the batches partition g's vertices and no batch holds a conflicting pair."""
-    try:
-        _normalize_partition(b.batches, g)
-    except ValidationError:
-        return False
-    return True
 
 
 def finish_times(s: GraphSchedule, lengths: Mapping[int, int]) -> list[int]:
@@ -243,11 +228,13 @@ def latency_stats(s: GraphSchedule, lengths: Mapping[int, int]) -> LatencyReport
     )
 
 
-def _normalize_partition(
+def check_partition(
     partition: Sequence[Sequence[int]], g: ConflictGraph
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Sorted levels and each vertex's level index; rejects overlaps, gaps and
-    in-level conflicts."""
+    """Sorted levels and each vertex's level index. The check of a batch
+    schedule and of a level schedule's levels: raises ``ValidationError``
+    naming the out-of-range or repeated vertex, the conflicting pair, or the
+    missing cover."""
     levels = tuple(tuple(sorted(level)) for level in partition)
     n, rows = g.n, g.neighbors
     level_of = [-1] * n
@@ -278,7 +265,7 @@ def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> Grap
     pair, scanning prior levels from nearest to farthest; the result carries
     no redundant edges.
     """
-    levels, level_of = _normalize_partition(partition, g)
+    levels, level_of = check_partition(partition, g)
     level_at = level_of.__getitem__
     rows = g.neighbors
     preds: list[list[int]] = [[] for _ in range(g.n)]
@@ -339,13 +326,9 @@ def reorder_partition(
 
 
 def size_descending_color_order(coloring: Coloring) -> tuple[tuple[int, ...], ...]:
-    """Partition ordered by descending color-class size; ties go to the class
-    with the smallest member id, then to the lower color index."""
-    levels: dict[int, list[int]] = {}
-    for v, c in enumerate(coloring.colors):
-        levels.setdefault(c, []).append(v)
-    ordered = sorted(levels.items(), key=lambda item: (-len(item[1]), min(item[1]), item[0]))
-    return tuple(tuple(sorted(members)) for _, members in ordered)
+    """Color classes ordered by descending size; ties go to the class with
+    the smallest member id."""
+    return tuple(sorted(partition_from_coloring(coloring), key=lambda level: (-len(level), level[0])))
 
 
 def dump_schedule(s: GraphSchedule) -> str:

@@ -76,7 +76,7 @@ def brute_min_weighted_partition(g: ConflictGraph, lengths) -> int:
     parts: list[list[int]] = []
 
     def independent_with(part: list[int], v: int) -> bool:
-        return all(not g.are_adjacent(u, v) for u in part)
+        return all(u not in g.neighbors[v] for u in part)
 
     def rec(v: int) -> None:
         nonlocal best

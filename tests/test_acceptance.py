@@ -167,7 +167,7 @@ def test_c04_chromatic_equals_optimal_latency():
 
 
 def test_c05_level_scheduling_completeness():
-    from blocksched.schedule import convert_to_coloring
+    from blocksched.schedule import convert_to_coloring, is_valid_schedule
 
     rng = random.Random(505)
     violations = 0
@@ -178,7 +178,8 @@ def test_c05_level_scheduling_completeness():
             g, [rng.choice([1, 2, 5, 10]) for _ in range(n)], include_reads=True
         )
         s = random_valid_schedule(g, rng)
-        part = partition_from_coloring(convert_to_coloring(s, g))
+        assert is_valid_schedule(s, g)
+        part = partition_from_coloring(convert_to_coloring(s))
         if latency(level_schedule(part, g), lengths_of(block)) > latency(s, lengths_of(block)):
             violations += 1
     assert violations == 0

@@ -4,7 +4,9 @@ it imports and every name the tracer wraps (the tracer's constructor calls
 ``getattr`` on each and installs nothing). The names the harness and tracer
 read inside their functions are found by parsing both files. So removing or
 renaming a name the benchmark reads fails here in well under a second
-instead of in a benchmark run.
+instead of in a benchmark run. The attributes the harness reads off a runner
+and its plans, through local names the parse cannot follow, are checked on
+one plan per runner the harness configures.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import ast
 import importlib
 from pathlib import Path
+
+from blocksched import conflict, replication
+from blocksched.workload import WorkloadSpec, gen_block
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -96,3 +101,23 @@ def test_benchmark_reads_only_names_that_exist():
         if not hasattr(importlib.import_module(f"blocksched.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_runners_and_plans_have_what_the_harness_reads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import harness
+
+    configured = {harness.SmrBigState().runner, *harness.SmrWide().runners, *harness.PlanLarge().runners}
+    names = configured | {"batch"}  # the one runner whose plan is a BatchPlan
+    block = gen_block(WorkloadSpec(n_txs=12, key_universe=6, seed=1))
+    for name in sorted(names):
+        runner = replication.make_runner(name)
+        g = conflict.build_conflict_graph(block)
+        plan = runner.make_schedule(block.txs, g)
+        assert runner.validate_schedule(block.txs, g, plan) is True
+        if isinstance(plan, replication.BatchPlan):
+            order = [v for batch in plan.batches.batches for v in batch]
+        else:
+            order = plan.schedule.topo_order()
+            assert type(plan.schedule.edges) is frozenset
+        assert sorted(order) == list(range(len(block.txs))), name

@@ -8,6 +8,7 @@ import pytest
 
 from blocksched import analysis, cli, executor, replication
 from blocksched.cli import main
+from blocksched.conflict import build_conflict_graph
 from blocksched.errors import ValidationError
 from blocksched.model import GlobalState, block_to_obj, write_block_file, write_stream_file
 from blocksched.replication import BUILTIN_RUNNERS
@@ -630,13 +631,33 @@ def test_execute_simulate_checks_the_plan_once(chain_file, capsys, monkeypatch, 
         return check
 
     for module in (replication, executor):
-        for name in ("is_valid_schedule", "is_valid_batch_schedule"):
+        for name in ("is_valid_schedule", "check_partition"):
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     code, out, _ = run_cli(capsys, "execute", chain_file, "--runner", runner, "--simulate")
     assert code == 0
     assert "makespan" in out
-    expected = "is_valid_batch_schedule" if runner == "batch" else "is_valid_schedule"
+    expected = "check_partition" if runner == "batch" else "is_valid_schedule"
     assert calls == [expected]
+
+
+@pytest.mark.parametrize("runner", ["order", "batch"])
+def test_runner_plan_of_the_wrong_size_exits_4(chain_file, capsys, monkeypatch, runner):
+    # a runner bug, not bad input: the plan of a 5-tx block for a 6-tx block
+    make_schedule = replication.BlockRunner.make_schedule
+    five = chain_block(5)
+
+    def short_plan(self, txs, constraints):
+        return make_schedule(self, five.txs, build_conflict_graph(five))
+
+    monkeypatch.setattr(replication.BlockRunner, "make_schedule", short_plan)
+    code, out, err = run_cli(capsys, "execute", chain_file, "--runner", runner)
+    assert code == 4
+    assert out == ""
+    reason = (
+        "partition does not cover all vertices" if runner == "batch"
+        else "schedule has 5 vertices, conflict graph has 6"
+    )
+    assert err == f"invariant violation: runner {runner!r} produced an invalid schedule: {reason}\n"
 
 
 @pytest.mark.parametrize("runner", list(BUILTIN_RUNNERS))

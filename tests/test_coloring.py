@@ -24,6 +24,7 @@ from blocksched.workload import WorkloadSpec, gen_block
 
 from conftest import (
     brute_chromatic,
+    brute_dag_latency,
     brute_min_weighted_partition,
     random_graph,
     random_valid_schedule,
@@ -373,20 +374,23 @@ def test_convert_diamond_longest_path_depths():
 
 
 def test_convert_flags_invalid_schedule():
+    # convert_to_coloring only colors by depth; is_valid_schedule is the one
+    # check that flags a schedule, and so a depth coloring, as invalid
     g = ConflictGraph(n=2, edges=frozenset({(0, 1)}))
     bogus = GraphSchedule(n=2, edges=frozenset())  # misses the conflict
-    with pytest.raises(ValidationError):
-        convert_to_coloring(bogus, g)
+    assert not is_valid_schedule(bogus, g)
+    assert not is_legal(convert_to_coloring(bogus), g)
     # the depth coloring (1, 1, 2) is legal for the conflict (0, 2), but no
     # dependency path orders that pair, so the schedule is not valid
     g = ConflictGraph(n=3, edges=frozenset({(0, 2)}))
     unordered = GraphSchedule(n=3, edges=frozenset({(1, 2)}))
     assert not is_valid_schedule(unordered, g)
     assert convert_to_coloring(unordered).colors == (1, 1, 2)
-    with pytest.raises(ValidationError, match="^schedule is not valid for the conflict graph"):
-        convert_to_coloring(unordered, g)
-    with pytest.raises(ValidationError, match="^schedule is not valid for the conflict graph"):
-        convert_to_coloring(GraphSchedule(n=2, edges=frozenset()), g)
+    assert is_legal(convert_to_coloring(unordered), g)
+    with pytest.raises(ValidationError, match="^schedule has 2 vertices, conflict graph has 3$"):
+        is_valid_schedule(GraphSchedule(n=2, edges=frozenset()), g)
+    with pytest.raises(TypeError):
+        convert_to_coloring(unordered, g)  # no conflict-graph argument
 
 
 @settings(max_examples=40, deadline=None)
@@ -396,11 +400,11 @@ def test_convert_is_legal_with_depth_colors(seed):
     n = rng.randint(1, 8)
     g = random_graph(rng, n, 0.5)
     s = random_valid_schedule(g, rng)
-    coloring = convert_to_coloring(s, g)
+    assert is_valid_schedule(s, g)
+    coloring = convert_to_coloring(s)
     assert is_legal(coloring, g)
     # number of colors equals the DAG vertex depth
-    depth = max(convert_to_coloring(s).colors)
-    assert coloring.k == depth
+    assert coloring.k == brute_dag_latency(s, {v: 1 for v in range(n)})
 
 
 def test_coloring_type_checks_contiguous_colors():

@@ -158,7 +158,7 @@ def test_batch_single_batch_equals_empty_schedule():
 
 def test_batch_rejects_conflicting_batch():
     block = writer_reader_block()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^level 0 is not conflict-free: pair \(0, 1\) conflicts$"):
         execute_batch_schedule(block, BatchSchedule(batches=((0, 1),)), EMPTY)
 
 

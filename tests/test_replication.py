@@ -24,7 +24,7 @@ from blocksched.replication import (
     results_digest,
     run_main_loop,
 )
-from blocksched.schedule import batch_to_graph, latency
+from blocksched.schedule import BatchSchedule, GraphSchedule, batch_to_graph, latency
 from blocksched.workload import (
     WorkloadSpec,
     chain_block,
@@ -87,13 +87,33 @@ def test_process_block_duplicate_ids_all_error():
     assert all(isinstance(r, TxError) for r in results)
 
 
-def test_process_block_rejects_misbehaving_runner():
-    class BadRunner(make_runner("order").__class__):
-        def validate_schedule(self, txs, constraints, plan):
-            return False
+def runner_planning(plan, name="order"):
+    """A runner of ``name`` whose ``make_schedule`` returns ``plan``."""
 
-    with pytest.raises(InvariantError):
-        process_block(BadRunner(), chain_block(3), EMPTY)
+    class BadRunner(make_runner(name).__class__):
+        def make_schedule(self, txs, constraints):
+            return plan
+
+    return BadRunner(name)
+
+
+def test_process_block_rejects_misbehaving_runner():
+    # chain_block(3) conflicts on (0, 1) and (1, 2); an edgeless schedule
+    # orders neither. A plan of the wrong size is a runner bug too, not bad
+    # input: InvariantError, not ValidationError.
+    for plan, reason in (
+        (GraphPlan(schedule=GraphSchedule(3, edges=())), "some conflicting pair has no dependency path"),
+        (None, "plan is a NoneType, not a GraphPlan or BatchPlan"),
+        (GraphPlan(schedule=GraphSchedule(2, edges=())), "schedule has 2 vertices, conflict graph has 3"),
+        (GraphPlan(schedule=GraphSchedule(4, edges=())), "schedule has 4 vertices, conflict graph has 3"),
+        (BatchPlan(batches=BatchSchedule(((0,), (2,))), levels=()), "partition does not cover all vertices"),
+        (BatchPlan(batches=BatchSchedule(((0,), (2,), (1, 3))), levels=()), "level 2: vertex 3 out of range"),
+    ):
+        with pytest.raises(InvariantError) as info:
+            process_block(runner_planning(plan), chain_block(3), EMPTY)
+        assert str(info.value) == f"runner 'order' produced an invalid schedule: {reason}"
+        assert type(info.value.__cause__) is ValidationError
+        assert str(info.value.__cause__) == reason
 
 
 def test_min_coloring_runner_falls_back_above_cap():
@@ -515,13 +535,16 @@ def test_results_digest_orders_by_id():
 
 
 def test_batch_plan_validation_catches_conflicts():
-    runner = make_runner("batch")
     block = chain_block(3)
-    g = build_conflict_graph(block)
-    from blocksched.schedule import BatchSchedule
-
     bad = BatchPlan(batches=BatchSchedule(batches=((0, 1), (2,))), levels=((0, 1), (2,)))
-    assert not runner.validate_schedule(block.txs, g, bad)
+    reason = "level 0 is not conflict-free: pair (0, 1) conflicts"
+    with pytest.raises(InvariantError) as info:
+        plan_block(runner_planning(bad, "batch"), block)
+    assert str(info.value) == f"runner 'batch' produced an invalid schedule: {reason}"
+    assert type(info.value.__cause__) is ValidationError
+    assert str(info.value.__cause__) == reason
+    # the benchmark's bool form of the same check
+    assert not make_runner("batch").validate_schedule(block.txs, build_conflict_graph(block), bad)
 
 
 # Module globals of replication that the benchmark's tracer replaces with

@@ -23,11 +23,11 @@ from blocksched.schedule import (
     LatencyReport,
     batch_latency,
     batch_to_graph,
+    check_partition,
     convert_to_coloring,
     dump_levels,
     dump_schedule,
     finish_times,
-    is_valid_batch_schedule,
     is_valid_schedule,
     latency,
     latency_stats,
@@ -155,8 +155,17 @@ def first_conflicting_pair(level, g):
     level = sorted(level)
     for a, u in enumerate(level):
         for v in level[a + 1 :]:
-            if g.are_adjacent(u, v):
+            if v in g.neighbors[u]:
                 return u, v
+    return None
+
+
+def rejection(check, partition, g):
+    """The message of the ValidationError ``check`` raises, or None."""
+    try:
+        check(partition, g)
+    except ValidationError as exc:
+        return str(exc)
     return None
 
 
@@ -197,14 +206,12 @@ def test_level_schedule_matches_pair_scan(seed, n, density):
         s = level_schedule(part, g)
         assert s.edges == pair_scan_level_schedule(part, g)
         assert is_valid_schedule(s, g)
-        # the batch check accepts exactly the partitions level_schedule accepts
+        # the batch check and level_schedule accept the same partitions and
+        # reject the others for the same reason
         for candidate in [part] + broken_partitions(part, g, rng):
-            try:
-                level_schedule(candidate, g)
-                accepted = True
-            except ValidationError:
-                accepted = False
-            assert is_valid_batch_schedule(BatchSchedule(candidate), g) == accepted
+            assert rejection(level_schedule, candidate, g) == rejection(
+                check_partition, BatchSchedule(candidate).batches, g
+            )
 
 
 @settings(max_examples=40, deadline=None)
@@ -445,7 +452,8 @@ def test_level_scheduling_completeness(seed):
     g = random_graph(rng, n, 0.5)
     s = random_valid_schedule(g, rng)
     lengths = {v: rng.choice([1, 2, 5, 10]) for v in range(n)}
-    part = partition_from_coloring(convert_to_coloring(s, g))
+    assert is_valid_schedule(s, g)
+    part = partition_from_coloring(convert_to_coloring(s))
     assert latency(level_schedule(part, g), lengths) <= latency(s, lengths)
 
 
@@ -503,8 +511,8 @@ def views_along(s, order, lengths):
     return tuple(anc), finish, tuple(depth)
 
 
-def views_of(s, lengths, g=None):
-    return s.ancestor_bits, finish_times(s, lengths), convert_to_coloring(s, g).colors
+def views_of(s, lengths):
+    return s.ancestor_bits, finish_times(s, lengths), convert_to_coloring(s).colors
 
 
 @settings(max_examples=40, deadline=None)
@@ -568,7 +576,8 @@ def test_producer_views_equal_the_values_along_topo_order(n, universe, seed):
         total_order_schedule(shuffled, g),
         batch_to_graph(BatchSchedule(levels)),
     ):
-        assert views_of(s, lengths, g) == views_along(s, s.topo_order(), lengths)
+        assert is_valid_schedule(s, g)
+        assert views_of(s, lengths) == views_along(s, s.topo_order(), lengths)
 
 
 # (gen_block spec, sha256 of the ``dump_schedule`` of every built-in runner's
