@@ -2,24 +2,31 @@
 sequential reference, and a discrete-event simulation.
 
 The concurrent engine is a bounded ready queue. Every vertex of the schedule
-counts its unfinished predecessors, and a fixed set of at most
-``MAX_WORKERS`` threads, never one per transaction, pops the smallest ready
-id from one heap. A worker reads the latest committed value of each read-set
-key, runs the program, then under the engine's lock commits its writes,
-records its result and decrements its successors' counts, queueing each that
-reaches zero. Batch execution is the same engine without edges and with one
-barrier: the next batch opens when the current one has no unfinished
-transaction. Validity of the schedule (every conflicting pair path-ordered)
-is checked once, before a handle is built, and is the sole safety premise:
-no two conflicting transactions ever overlap, so writes go to one overlay
-dict over the input state and need nothing beyond atomic per-key
-publication.
+counts its unfinished predecessors, and at most ``MAX_WORKERS`` workers,
+never one per transaction, pop the smallest ready id from one heap. A worker
+reads the latest committed value of each read-set key, runs the program,
+then under the engine's lock commits its writes, records its result and
+decrements its successors' counts, queueing each that reaches zero. Batch
+execution is the same engine without edges and with one barrier: the next
+batch opens when the current one has no unfinished transaction. Validity of
+the schedule (every conflicting pair path-ordered) is checked once, before a
+handle is built, and is the sole safety premise: no two conflicting
+transactions ever overlap, so writes go to one overlay dict over the input
+state and need nothing beyond atomic per-key publication.
 
-A handle is started with ``start()``; ``outcome()`` waits for the workers
-and returns every result in emission order with the merged state changes.
-The run fails fast: the first exception raised by a transaction body stops
-it, wakes every waiter, and makes ``outcome()`` raise ``InvariantError``
-chained to that exception. A partial outcome is never returned.
+The workers run on one process-wide pool of daemon threads shared by every
+execution. It starts no thread until the first execution, then grows only
+up to the largest ``MAX_WORKERS`` a handle has read, and is never shut down;
+a forked child starts with a fresh, empty pool. Each handle keeps its own
+ready heap, counters, overlay, lock and failure slot, and hands the pool one
+job per worker slot.
+
+A handle is started once with ``start()``; ``outcome()`` waits until every
+worker slot has returned and gives every result in emission order with the
+merged state changes. The run fails fast: the first exception raised by a
+transaction body stops it, wakes every waiter, and makes ``outcome()`` raise
+``InvariantError`` chained to that exception. A partial outcome is never
+returned.
 
 The simulation only fixes finish order; its transactions run
 through :func:`execute_sequential`, the reference oracle.
@@ -32,9 +39,11 @@ the final state changes.
 from __future__ import annotations
 
 import heapq
+import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,8 +58,52 @@ from .schedule import (
     latency,
 )
 
-# Worker threads of one execution, read when its handle is built.
+# Worker slots of one execution, read when its handle is built.
 MAX_WORKERS = 8
+
+
+class _Pool:
+    """Daemon threads that run queued jobs, one at a time each, forever.
+
+    A submission of ``count`` jobs grows the pool to ``count`` threads if it
+    is smaller, so it holds as many threads as the largest submission asked
+    for; jobs beyond the threads free wait their turn in the queue.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._cv = threading.Condition(self._lock)
+        self._jobs: deque[Callable[[], None]] = deque()
+        self._threads = 0
+
+    def submit(self, job: Callable[[], None], count: int) -> None:
+        with self._lock:
+            self._jobs.extend([job] * count)
+            self._cv.notify(count)
+            for _ in range(self._threads, count):
+                threading.Thread(target=self._serve, daemon=True).start()
+            self._threads = max(self._threads, count)
+
+    def _serve(self) -> None:
+        while True:
+            with self._lock:
+                while not self._jobs:
+                    self._cv.wait()
+                job = self._jobs.popleft()
+            job()
+            job = None  # an idle thread must keep no execution alive
+
+
+_POOL = _Pool()
+
+
+def _fresh_pool() -> None:
+    """A forked child inherits the pool's bookkeeping but none of its threads."""
+    global _POOL
+    _POOL = _Pool()
+
+
+os.register_at_fork(after_in_child=_fresh_pool)
 
 
 @dataclass(frozen=True)
@@ -107,8 +160,10 @@ _INVALID_SCHEDULE = "invalid schedule: some conflicting pair has no dependency p
 class GraphExecutionHandle:
     """A prepared concurrent execution of one valid graph schedule.
 
-    :meth:`start` launches the workers; :meth:`outcome` waits for them and
-    returns the results in emission order with the merged state changes.
+    :meth:`start` hands ``min(MAX_WORKERS, n)`` worker slots to the shared
+    pool, and may be called once; :meth:`outcome` waits until every slot has
+    returned and gives the results in emission order with the merged state
+    changes.
     With ``trace=True``, :attr:`trace` holds each transaction's
     ``(tx_id, start_ns, end_ns)`` once :meth:`outcome` has returned. The
     handle does not validate the schedule: :func:`execute_graph_schedule`,
@@ -142,10 +197,9 @@ class GraphExecutionHandle:
         self._started = False
         self._lock = threading.Lock()
         self._work_cv = threading.Condition(self._lock)
-        self._workers = [
-            threading.Thread(target=self._work, daemon=True)
-            for _ in range(min(MAX_WORKERS, self._pending))
-        ]
+        self._done_cv = threading.Condition(self._lock)
+        self._worker_count = min(MAX_WORKERS, self._pending)
+        self._running = 0  # worker slots handed to the pool and not yet returned
         self._jitter_seed = jitter_seed
         self._max_jitter_us = max_jitter_us
         self.trace: list[tuple[int, int, int]] | None = [] if trace else None
@@ -156,21 +210,29 @@ class GraphExecutionHandle:
         return self._failure is None and self._pending > 0
 
     def _work(self) -> None:
-        while True:
-            with self._lock:
-                while not self._ready and self._live():
-                    self._work_cv.wait()
-                if not self._live():
-                    return
-                tx = self._txs[heapq.heappop(self._ready)]
-            try:
-                self._run_one(tx)
-            except Exception as exc:  # the worker boundary: recorded, re-raised by outcome()
+        """One worker slot: run ready transactions until the run ends, then
+        hand the slot back."""
+        try:
+            while True:
                 with self._lock:
-                    if self._failure is None:
-                        self._failure = (tx.id, exc)
-                    self._work_cv.notify_all()
-                return
+                    while not self._ready and self._live():
+                        self._work_cv.wait()
+                    if not self._live():
+                        return
+                    tx = self._txs[heapq.heappop(self._ready)]
+                try:
+                    self._run_one(tx)
+                except Exception as exc:  # the worker boundary: recorded, re-raised by outcome()
+                    with self._lock:
+                        if self._failure is None:
+                            self._failure = (tx.id, exc)
+                        self._work_cv.notify_all()
+                    return
+        finally:
+            with self._lock:
+                self._running -= 1
+                if self._running == 0:
+                    self._done_cv.notify()
 
     def _run_one(self, tx: Transaction) -> None:
         rng = _jitter_rng(self._jitter_seed, tx.id)
@@ -229,17 +291,20 @@ class GraphExecutionHandle:
 
     def start(self) -> None:
         with self._lock:
+            if self._started:
+                raise ValidationError("execution already started")
             self._started = True
             if self._pending:
                 self._open_next_batch()
-        for worker in self._workers:
-            worker.start()
+            self._running = self._worker_count
+        _POOL.submit(self._work, self._worker_count)
 
     def outcome(self) -> ExecutionOutcome:
         if not self._started:
             raise ValidationError("execution was never started")
-        for worker in self._workers:
-            worker.join()
+        with self._lock:
+            while self._running:
+                self._done_cv.wait()
         if self._failure is not None:
             tx_id, exc = self._failure
             raise InvariantError(f"tx {tx_id} raised {exc!r}; execution stopped") from exc

@@ -1,7 +1,13 @@
 import dataclasses
+import gc
+import multiprocessing
 import os
 import random
 import sys
+import threading
+import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -76,6 +82,21 @@ def test_outcome_before_start_is_rejected():
         handle.outcome()
 
 
+@pytest.mark.parametrize("handle", ["graph", "batch"])
+def test_second_start_is_rejected(handle):
+    block = writer_reader_block()
+    if handle == "graph":
+        run = GraphExecutionHandle(block, GraphSchedule(n=2, edges={(0, 1)}), EMPTY)
+    else:
+        run = BatchExecutionHandle(block, BatchSchedule(((0,), (1,))), EMPTY)
+    run.start()
+    with pytest.raises(ValidationError, match="^execution already started$"):
+        run.start()
+    out = run.outcome()
+    assert sorted(r.tx_id for r in out.results) == [0, 1]
+    assert out.state_changes == {"x": 1, "y": 2}
+
+
 def test_outcome_diff_reports_each_difference():
     want = execute_sequential(writer_reader_block(), [0, 1], EMPTY)
     assert executor._outcome_diff("t", want, want) is None
@@ -136,10 +157,137 @@ def test_bounded_pool_matches_unbounded(monkeypatch):
     full = execute_graph_schedule(block, s, EMPTY)
     monkeypatch.setattr(executor, "MAX_WORKERS", 3)
     # the pool size is read when a handle is built
-    assert len(GraphExecutionHandle(block, s, EMPTY)._workers) == 3
+    assert GraphExecutionHandle(block, s, EMPTY)._worker_count == 3
     pooled = execute_graph_schedule(block, s, EMPTY)
     assert pooled.state_changes == full.state_changes
     assert pooled.results_by_id().keys() == full.results_by_id().keys()
+
+
+def collected(ref, timeout=5.0):
+    """Whether ``ref`` dies once the pool thread that ran the last worker
+    slot has returned from it and dropped the job."""
+    deadline = time.monotonic() + timeout
+    while ref() is not None and time.monotonic() < deadline:
+        time.sleep(0.001)
+        gc.collect()
+    return ref() is None
+
+
+class WeakState(GlobalState):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("bad_id", [None, 5])
+def test_idle_pool_threads_keep_no_execution_alive(monkeypatch, bad_id):
+    block = gen_block(WorkloadSpec(n_txs=24, key_universe=6, seed=8))
+    s = greedy_level_schedule(block)
+    if bad_id is not None:
+        inject_tx_failure(monkeypatch, bad_id=bad_id)
+
+    def run():
+        state = WeakState({f"k{i}": i + 1 for i in range(6)})
+        handle = GraphExecutionHandle(block, s, state)
+        handle.start()
+        try:
+            handle.outcome()
+            failed = False
+        except InvariantError:
+            failed = True
+        return weakref.ref(handle), weakref.ref(state), failed
+
+    handle_ref, state_ref, failed = run()
+    assert failed == (bad_id is not None)
+    assert collected(handle_ref)
+    assert collected(state_ref)
+
+
+def _run_in_forked_child(block, s, want):
+    assert execute_graph_schedule(block, s, EMPTY).state_changes == want
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_execution_in_a_forked_child_does_not_hang():
+    block = gen_block(WorkloadSpec(n_txs=24, key_universe=6, seed=8))
+    s = greedy_level_schedule(block)
+    want = execute_graph_schedule(block, s, EMPTY).state_changes  # warms the parent's pool
+    assert executor._POOL._threads > 0
+    child = multiprocessing.get_context("fork").Process(
+        target=_run_in_forked_child, args=(block, s, want)
+    )
+    child.start()
+    child.join(20)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("execution in a forked child still running after 20s")
+    assert child.exitcode == 0
+
+
+def fresh_pool(monkeypatch):
+    """Give the test its own empty pool; returns a count of the threads
+    started since, which are that pool's threads once every other thread
+    the test started has been joined."""
+    before = set(threading.enumerate())
+    monkeypatch.setattr(executor, "_POOL", executor._Pool())
+    return lambda: sum(t not in before for t in threading.enumerate())
+
+
+def test_two_callers_share_one_bounded_pool(monkeypatch):
+    pool_threads = fresh_pool(monkeypatch)
+    cases = []
+    for seed in (41, 42):
+        block = gen_block(WorkloadSpec(n_txs=40, key_universe=12, seed=seed))
+        cases.append((block, greedy_level_schedule(block)))
+    together = threading.Barrier(2)
+
+    def call(i):
+        block, s = cases[i]
+        together.wait()
+        return execute_graph_schedule(block, s, EMPTY)
+
+    with ThreadPoolExecutor(2) as callers:
+        runs = [callers.submit(run_bounded, lambda i=i: call(i)) for i in range(2)]
+        outs = [run.result() for run in runs]
+    for (block, s), out in zip(cases, outs):
+        ref = execute_sequential(block, s.topo_order(), EMPTY)
+        assert out.state_changes == ref.state_changes
+        assert {i: (r.read_values, r.written_values) for i, r in out.results_by_id().items()} == {
+            i: (r.read_values, r.written_values) for i, r in ref.results_by_id().items()
+        }
+    # pool threads never exit, so the count now is the most ever alive
+    assert pool_threads() == MAX_WORKERS
+
+
+def test_handle_runs_no_more_workers_than_it_read(monkeypatch):
+    pool_threads = fresh_pool(monkeypatch)
+    txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(16)]
+    block = make_block(txs)
+    s = GraphSchedule(n=16, edges=frozenset())
+    real = executor.run_program
+    gate = threading.Lock()
+    active, most = [0], [0]
+
+    def counted(tx, reads):
+        with gate:
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+        time.sleep(0.002)
+        with gate:
+            active[0] -= 1
+        return real(tx, reads)
+
+    monkeypatch.setattr(executor, "run_program", counted)
+    run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))
+    assert pool_threads() == MAX_WORKERS
+    assert most[0] > 2  # the count below could see a violation
+    monkeypatch.setattr(executor, "MAX_WORKERS", 2)
+    most[0] = 0
+    out = run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))
+    assert out.state_changes == {f"w{i}": i for i in range(16)}
+    assert most[0] <= 2
+    assert pool_threads() == MAX_WORKERS
 
 
 def test_batch_reader_sees_previous_batch_write():
