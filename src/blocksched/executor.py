@@ -67,7 +67,10 @@ class _Pool:
 
     A submission of ``count`` jobs grows the pool to ``count`` threads if it
     is smaller, so it holds as many threads as the largest submission asked
-    for; jobs beyond the threads free wait their turn in the queue.
+    for; jobs beyond the threads free wait their turn in the queue. That
+    wait always ends: a worker slot blocks only while another slot of its
+    own execution is running a transaction, so every execution holding a
+    thread makes progress and hands its threads back.
     """
 
     def __init__(self) -> None:
@@ -103,7 +106,8 @@ def _fresh_pool() -> None:
     _POOL = _Pool()
 
 
-os.register_at_fork(after_in_child=_fresh_pool)
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_fresh_pool)
 
 
 @dataclass(frozen=True)
