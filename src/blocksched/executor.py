@@ -8,11 +8,12 @@ reads the latest committed value of each read-set key, runs the program,
 then under the engine's lock commits its writes, records its result and
 decrements its successors' counts, queueing each that reaches zero. Batch
 execution is the same engine without edges and with one barrier: the next
-batch opens when the current one has no unfinished transaction. Validity of
-the schedule (every conflicting pair path-ordered) is checked once, before a
-handle is built, and is the sole safety premise: no two conflicting
-transactions ever overlap, so writes go to one overlay dict over the input
-state and need nothing beyond atomic per-key publication.
+batch opens when the current one has no unfinished transaction, skipping an
+empty one, and the run ends when none is left. Validity of the schedule
+(every conflicting pair path-ordered; ``schedule.UNORDERED_CONFLICT`` if not)
+is checked once, before a handle is built, and is the sole safety premise: no
+two conflicting transactions ever overlap, so writes go to one overlay dict
+over the input state and need nothing beyond atomic per-key publication.
 
 The workers run on one process-wide pool of daemon threads shared by every
 execution. It starts no thread until the first execution, then grows only
@@ -51,6 +52,7 @@ from .conflict import build_conflict_graph
 from .errors import InvariantError, ValidationError
 from .model import Block, GlobalState, Transaction, TxResult, run_program, stable_seed
 from .schedule import (
+    UNORDERED_CONFLICT,
     BatchSchedule,
     GraphSchedule,
     check_partition,
@@ -158,9 +160,6 @@ def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -
     return ExecutionOutcome(results=tuple(results), state_changes=changes)
 
 
-_INVALID_SCHEDULE = "invalid schedule: some conflicting pair has no dependency path"
-
-
 class GraphExecutionHandle:
     """A prepared concurrent execution of one valid graph schedule.
 
@@ -192,8 +191,7 @@ class GraphExecutionHandle:
         # batches run strictly one after another; a graph schedule is one batch
         self._batches: Sequence[Sequence[int]] = (tuple(range(schedule.n)),)
         self._batch = -1
-        self._open = 0  # unfinished transactions of the current batch
-        self._pending = len(block.txs)
+        self._open = 0  # unfinished transactions of the current batch; 0 once the run ends
         self._ready: list[int] = []
         self._overlay: dict[str, int] = {}
         self._results: list[TxResult] = []
@@ -202,7 +200,7 @@ class GraphExecutionHandle:
         self._lock = threading.Lock()
         self._work_cv = threading.Condition(self._lock)
         self._done_cv = threading.Condition(self._lock)
-        self._worker_count = min(MAX_WORKERS, self._pending)
+        self._worker_count = min(MAX_WORKERS, len(block.txs))
         self._running = 0  # worker slots handed to the pool and not yet returned
         self._jitter_seed = jitter_seed
         self._max_jitter_us = max_jitter_us
@@ -211,7 +209,7 @@ class GraphExecutionHandle:
     # -- workers --
 
     def _live(self) -> bool:
-        return self._failure is None and self._pending > 0
+        return self._failure is None and self._open > 0
 
     def _work(self) -> None:
         """One worker slot: run ready transactions until the run ends, then
@@ -256,7 +254,6 @@ class GraphExecutionHandle:
                 self.trace.append((result.tx_id, t0, time.perf_counter_ns()))
             self._results.append(result)
             self._release(result.tx_id)
-            self._retire()
 
     # -- bookkeeping, always under the lock --
 
@@ -273,23 +270,21 @@ class GraphExecutionHandle:
         self._work_cv.notify(readied)
 
     def _open_next_batch(self) -> int:
-        """Queue the ready transactions of the next batch; returns their number."""
-        if self._batch + 1 == len(self._batches):
-            return 0
-        self._batch += 1
-        batch = self._batches[self._batch]
-        self._open = len(batch)
-        readied = 0
-        for v in batch:
-            if self._unmet[v] == 0:
-                heapq.heappush(self._ready, v)
-                readied += 1
-        return readied
-
-    def _retire(self) -> None:
-        self._pending -= 1
-        if self._pending == 0:
-            self._work_cv.notify_all()
+        """Queue the ready transactions of the next non-empty batch; returns
+        their number. With no batch left, wakes every slot to return."""
+        while self._batch + 1 < len(self._batches):
+            self._batch += 1
+            batch = self._batches[self._batch]
+            if batch:
+                self._open = len(batch)
+                readied = 0
+                for v in batch:
+                    if self._unmet[v] == 0:
+                        heapq.heappush(self._ready, v)
+                        readied += 1
+                return readied
+        self._work_cv.notify_all()
+        return 0
 
     # -- public surface --
 
@@ -298,8 +293,7 @@ class GraphExecutionHandle:
             if self._started:
                 raise ValidationError("execution already started")
             self._started = True
-            if self._pending:
-                self._open_next_batch()
+            self._open_next_batch()
             self._running = self._worker_count
         _POOL.submit(self._work, self._worker_count)
 
@@ -328,7 +322,6 @@ class _EarlyReleaseHandle(GraphExecutionHandle):
         _sleep_jitter(rng, self._max_jitter_us)
         with self._lock:
             self._overlay.update(result.written_values)
-            self._retire()
 
 
 class BatchExecutionHandle(GraphExecutionHandle):
@@ -343,12 +336,17 @@ class BatchExecutionHandle(GraphExecutionHandle):
         self._batches = batches.batches
 
 
+def _check_graph(block: Block, schedule: GraphSchedule) -> None:
+    """Raise ``ValidationError`` unless ``schedule`` is valid for the block."""
+    if not is_valid_schedule(schedule, build_conflict_graph(block)):
+        raise ValidationError(UNORDERED_CONFLICT)
+
+
 def execute_graph_schedule(
     block: Block, schedule: GraphSchedule, state: GlobalState
 ) -> ExecutionOutcome:
     """Run the block concurrently under a valid graph schedule (blocking)."""
-    if not is_valid_schedule(schedule, build_conflict_graph(block)):
-        raise ValidationError(_INVALID_SCHEDULE)
+    _check_graph(block, schedule)
     handle = GraphExecutionHandle(block, schedule, state)
     handle.start()
     return handle.outcome()
@@ -372,8 +370,7 @@ def simulate_execution(
     A transaction starts when its last predecessor finishes and runs for
     exactly its length; the returned makespan equals the schedule's latency.
     """
-    if not is_valid_schedule(schedule, build_conflict_graph(block)):
-        raise ValidationError(_INVALID_SCHEDULE)
+    _check_graph(block, schedule)
     return _simulate_checked(block, schedule, state)
 
 
@@ -453,8 +450,7 @@ def stress_determinism(
     """
     if trials < 2:
         raise ValidationError("stress_determinism needs at least 2 trials")
-    if not is_valid_schedule(schedule, build_conflict_graph(block)):
-        raise ValidationError(_INVALID_SCHEDULE)
+    _check_graph(block, schedule)
     baseline = execute_sequential(block, schedule.topo_order(), state)
     for trial in range(trials):
         run = handle(

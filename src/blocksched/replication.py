@@ -35,6 +35,7 @@ from .errors import CapacityError, InvariantError, ParseError, ValidationError
 from .executor import BatchExecutionHandle, GraphExecutionHandle
 from .model import Block, GlobalState, Transaction, TxResult, block_hash, validate_block
 from .schedule import (
+    UNORDERED_CONFLICT,
     BatchSchedule,
     GraphSchedule,
     check_partition,
@@ -193,7 +194,7 @@ def _check_plan(plan: Any, constraints: ConflictGraph) -> None:
     elif not isinstance(plan, GraphPlan):
         raise ValidationError(f"plan is a {type(plan).__name__}, not a GraphPlan or BatchPlan")
     elif not is_valid_schedule(plan.schedule, constraints):
-        raise ValidationError("some conflicting pair has no dependency path")
+        raise ValidationError(UNORDERED_CONFLICT)
 
 
 def plan_block(runner: BlockRunner, block: Block) -> GraphPlan | BatchPlan:

@@ -144,21 +144,15 @@ def _is_topological(rows: Sequence[Sequence[int]], order: Sequence[int]) -> bool
 
 @dataclass(frozen=True)
 class BatchSchedule:
-    """Ordered sequence of conflict-free batches; batches run strictly one after another."""
+    """Ordered sequence of conflict-free batches; batches run strictly one
+    after another. Building one only sorts each batch: like a ``Block``, a
+    malformed list stays representable, and ``check_partition`` checks it
+    wherever it is planned or run."""
 
     batches: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple(tuple(sorted(batch)) for batch in self.batches)
-        object.__setattr__(self, "batches", normalized)
-        seen: set[int] = set()
-        for i, batch in enumerate(normalized):
-            if not batch:
-                raise ValidationError(f"batch {i} is empty")
-            for v in batch:
-                if v in seen:
-                    raise ValidationError(f"vertex {v} appears in more than one batch")
-                seen.add(v)
+        object.__setattr__(self, "batches", tuple(tuple(sorted(batch)) for batch in self.batches))
 
 
 @dataclass(frozen=True)
@@ -168,8 +162,13 @@ class LatencyReport:
     p95_latency: int
 
 
+# The reason every check of a graph schedule gives when is_valid_schedule fails.
+UNORDERED_CONFLICT = "some conflicting pair has no dependency path"
+
+
 def is_valid_schedule(s: GraphSchedule, g: ConflictGraph) -> bool:
-    """True iff every conflict edge is covered by a directed path in s."""
+    """True iff every conflict edge is covered by a directed path in s.
+    Raises ``ValidationError`` when s and g differ in size."""
     if s.n != g.n:
         raise ValidationError(f"schedule has {s.n} vertices, conflict graph has {g.n}")
     anc = s.ancestor_bits
@@ -231,15 +230,17 @@ def latency_stats(s: GraphSchedule, lengths: Mapping[int, int]) -> LatencyReport
 def check_partition(
     partition: Sequence[Sequence[int]], g: ConflictGraph
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Sorted levels and each vertex's level index. The check of a batch
-    schedule and of a level schedule's levels: raises ``ValidationError``
-    naming the out-of-range or repeated vertex, the conflicting pair, or the
-    missing cover."""
+    """Sorted levels and each vertex's level index. The one check of a batch
+    list and of a level schedule's levels: raises ``ValidationError`` naming
+    the empty level, the out-of-range or repeated vertex, the conflicting
+    pair, or the missing cover."""
     levels = tuple(tuple(sorted(level)) for level in partition)
     n, rows = g.n, g.neighbors
     level_of = [-1] * n
     level_at = level_of.__getitem__
     for i, level in enumerate(levels):
+        if not level:
+            raise ValidationError(f"level {i} is empty")
         for v in level:
             if not 0 <= v < n:
                 raise ValidationError(f"level {i}: vertex {v} out of range")
@@ -295,24 +296,21 @@ def total_order_schedule(txs: Sequence[Transaction], g: ConflictGraph) -> GraphS
 
 
 def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
-    """Full bipartite dependency edges between consecutive batches."""
-    order = [v for batch in b.batches for v in batch]
-    n = len(order)
-    if sorted(order) != list(range(n)):
-        raise ValidationError(f"batches must cover ids 0..{n - 1}")
+    """Full bipartite dependency edges between consecutive batches, which must
+    partition ids 0..k-1: ``check_partition`` over k edgeless vertices checks them."""
+    n = sum(map(len, b.batches))
+    check_partition(b.batches, ConflictGraph(n, ()))
     preds: list[tuple[int, ...]] = [()] * n
     for earlier, later in zip(b.batches, b.batches[1:]):
         for v in later:
             preds[v] = earlier
-    return GraphSchedule._of_preds(preds, order)
+    return GraphSchedule._of_preds(preds, [v for batch in b.batches for v in batch])
 
 
 def batch_latency(b: BatchSchedule, lengths: Mapping[int, int]) -> int:
-    """Sum over batches of the longest member length."""
-    total = 0
-    for batch in b.batches:
-        total += max(lengths[v] for v in batch)
-    return total
+    """Sum over batches of the longest member length; an empty batch, which
+    the engine runs as a no-op, counts 0."""
+    return sum(max((lengths[v] for v in batch), default=0) for batch in b.batches)
 
 
 def reorder_partition(

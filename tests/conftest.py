@@ -14,6 +14,7 @@ import threading
 from blocksched import executor
 from blocksched.conflict import ConflictGraph
 from blocksched.model import Block, ProgramKind, Transaction, TxProgram
+from blocksched.replication import BlockRunner
 from blocksched.schedule import GraphSchedule
 
 
@@ -155,6 +156,16 @@ def make_tx(
 
 def make_block(txs, seq: int = 0, prev_hash: bytes = b"") -> Block:
     return Block(seq=seq, prev_hash=prev_hash, txs=tuple(txs))
+
+
+def runner_planning(plan, name: str = "order") -> BlockRunner:
+    """A runner of ``name`` whose ``make_schedule`` returns ``plan``."""
+
+    class BadRunner(BlockRunner):
+        def make_schedule(self, txs, constraints):
+            return plan
+
+    return BadRunner(name)
 
 
 def run_bounded(fn, timeout: float = 30.0):

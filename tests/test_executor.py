@@ -26,7 +26,7 @@ from blocksched.executor import (
     stress_determinism,
 )
 from blocksched.model import GlobalState, ProgramKind, TxResult, stable_seed
-from blocksched.replication import make_runner, plan_block, process_block
+from blocksched.replication import GraphPlan, make_runner, plan_block, process_block
 from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
@@ -37,7 +37,14 @@ from blocksched.schedule import (
 )
 from blocksched.workload import WorkloadSpec, chain_block, gen_block
 
-from conftest import make_block, make_tx, inject_tx_failure, random_valid_schedule, run_bounded
+from conftest import (
+    make_block,
+    make_tx,
+    inject_tx_failure,
+    random_valid_schedule,
+    run_bounded,
+    runner_planning,
+)
 
 EMPTY = GlobalState()
 
@@ -80,6 +87,38 @@ def test_outcome_before_start_is_rejected():
     handle = GraphExecutionHandle(writer_reader_block(), GraphSchedule(n=2, edges={(0, 1)}), EMPTY)
     with pytest.raises(ValidationError, match="execution was never started"):
         handle.outcome()
+
+
+def run_handle(handle):
+    handle.start()
+    return handle.outcome()
+
+
+def test_batch_handle_skips_empty_batches():
+    # chain_block(4) conflicts on (0, 1), (1, 2) and (2, 3); the handle is
+    # built directly, so nothing checks the batches before it runs them
+    block = chain_block(4)
+    handle = BatchExecutionHandle(block, BatchSchedule(((), (0, 2), (), (), (1, 3), ())), EMPTY)
+    out = run_bounded(lambda: run_handle(handle), timeout=20)
+    ref = execute_sequential(block, [0, 2, 1, 3], EMPTY)
+    assert sorted(r.tx_id for r in out.results) == [0, 1, 2, 3]
+    assert out.results_by_id() == ref.results_by_id()
+    assert out.state_changes == ref.state_changes
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda block: GraphExecutionHandle(block, GraphSchedule(0, ()), EMPTY),
+        lambda block: BatchExecutionHandle(block, BatchSchedule(()), EMPTY),
+        lambda block: BatchExecutionHandle(block, BatchSchedule(((),)), EMPTY),
+    ],
+    ids=["graph", "batch-no-batch", "batch-one-empty-batch"],
+)
+def test_an_empty_block_finishes(build):
+    out = run_bounded(lambda: run_handle(build(make_block([]))), timeout=20)
+    assert out.results == ()
+    assert out.state_changes == {}
 
 
 @pytest.mark.parametrize("handle", ["graph", "batch"])
@@ -414,10 +453,31 @@ def counting_handle():
 def test_stress_determinism_rejects_an_invalid_schedule_before_any_trial():
     factory, built = counting_handle()
     unordered = GraphSchedule(n=2, edges=frozenset())
-    with pytest.raises(ValidationError) as info:
+    with pytest.raises(ValidationError):
         stress_determinism(writer_reader_block(), unordered, EMPTY, trials=5, handle=factory)
-    assert str(info.value) == executor._INVALID_SCHEDULE
     assert built == []
+
+
+@pytest.mark.parametrize(
+    "path", ["execute_graph_schedule", "simulate_execution", "stress_determinism", "process_block"]
+)
+def test_an_unordered_conflict_has_one_text(path):
+    block = writer_reader_block()
+    unordered = GraphSchedule(n=2, edges=frozenset())
+    run = {
+        "execute_graph_schedule": lambda: execute_graph_schedule(block, unordered, EMPTY),
+        "simulate_execution": lambda: simulate_execution(block, unordered, EMPTY),
+        "stress_determinism": lambda: stress_determinism(block, unordered, EMPTY, trials=2),
+        "process_block": lambda: process_block(runner_planning(GraphPlan(unordered)), block, EMPTY),
+    }[path]
+    with pytest.raises((ValidationError, InvariantError)) as info:
+        run()
+    error = info.value
+    if path == "process_block":  # a runner's bad plan: chained to the check's error
+        assert type(error) is InvariantError
+        error = error.__cause__
+    assert type(error) is ValidationError
+    assert str(error) == "some conflicting pair has no dependency path"
 
 
 def test_stress_determinism_builds_one_handle_per_trial():

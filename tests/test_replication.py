@@ -34,7 +34,7 @@ from blocksched.workload import (
     gen_stream,
 )
 
-from conftest import make_block, make_tx, inject_tx_failure, run_bounded
+from conftest import make_block, make_tx, inject_tx_failure, run_bounded, runner_planning
 
 EMPTY = GlobalState()
 RUNNER_NAMES = ["order", "greedy", "min-coloring", "weighted-coloring", "batch"]
@@ -85,16 +85,6 @@ def test_process_block_duplicate_ids_all_error():
     assert changes == {}
     assert len(results) == 2
     assert all(isinstance(r, TxError) for r in results)
-
-
-def runner_planning(plan, name="order"):
-    """A runner of ``name`` whose ``make_schedule`` returns ``plan``."""
-
-    class BadRunner(make_runner(name).__class__):
-        def make_schedule(self, txs, constraints):
-            return plan
-
-    return BadRunner(name)
 
 
 def test_process_block_rejects_misbehaving_runner():

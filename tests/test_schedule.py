@@ -15,7 +15,9 @@ from blocksched.coloring import (
     partition_from_coloring,
 )
 from blocksched.conflict import ConflictGraph, build_conflict_graph
-from blocksched.errors import ValidationError
+from blocksched.errors import InvariantError, ValidationError
+from blocksched.executor import execute_batch_schedule
+from blocksched.model import GlobalState
 from blocksched.replication import BUILTIN_RUNNERS, BatchPlan, make_runner, plan_block
 from blocksched.schedule import (
     BatchSchedule,
@@ -38,7 +40,14 @@ from blocksched.schedule import (
 )
 from blocksched.workload import WorkloadSpec, chain_block, gen_block
 
-from conftest import brute_dag_latency, make_block, make_tx, random_graph, random_valid_schedule
+from conftest import (
+    brute_dag_latency,
+    make_block,
+    make_tx,
+    random_graph,
+    random_valid_schedule,
+    runner_planning,
+)
 
 
 def lengths_of(block):
@@ -297,7 +306,7 @@ def test_total_order_rejects_a_size_mismatch():
 
 
 def test_batch_to_graph_rejects_ids_that_skip_a_vertex():
-    with pytest.raises(ValidationError, match=r"batches must cover ids 0\.\.1"):
+    with pytest.raises(ValidationError, match=r"^level 1: vertex 2 out of range$"):
         batch_to_graph(BatchSchedule(batches=((0,), (2,))))
 
 
@@ -323,11 +332,53 @@ def test_batch_latency_homogeneous_counts_batches():
     assert batch_latency(b, {0: 1, 1: 1, 2: 1}) == 3
 
 
-def test_batch_schedule_rejects_empty_batch_and_overlap():
-    with pytest.raises(ValidationError):
-        BatchSchedule(batches=((0,), ()))
-    with pytest.raises(ValidationError):
-        BatchSchedule(batches=((0,), (0,)))
+# Batch lists for chain_block(3), which conflicts on (0, 1) and (1, 2): each
+# is malformed in one way. The reasons are check_partition's over the block's
+# conflict graph and over the edgeless graph of the list's own size, which
+# is what batch_to_graph checks; over the latter, an uncovered id is out of range.
+MALFORMED_BATCH_LISTS = {
+    "empty": (((0, 2), (), (1,)), "level 1 is empty", "level 1 is empty"),
+    "repeated": (
+        ((0, 2), (1, 2)),
+        "vertex 2 appears in more than one level",
+        "vertex 2 appears in more than one level",
+    ),
+    "out-of-range": (
+        ((0, 2), (1, 4)),
+        "level 1: vertex 4 out of range",
+        "level 1: vertex 4 out of range",
+    ),
+    "uncovered": (((0, 2),), "partition does not cover all vertices", "level 0: vertex 2 out of range"),
+}
+
+
+@pytest.mark.parametrize("path", ["execute_batch_schedule", "plan_block", "batch_to_graph", "level_schedule"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_BATCH_LISTS))
+def test_malformed_batch_list_has_one_text(case, path):
+    batches, block_reason, own_size_reason = MALFORMED_BATCH_LISTS[case]
+    block = chain_block(3)
+    g = build_conflict_graph(block)
+    for graph, reason in ((g, block_reason), (ConflictGraph(sum(map(len, batches)), ()), own_size_reason)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+            check_partition(batches, graph)
+    plan = BatchPlan(batches=BatchSchedule(batches), levels=())
+    run, reason = {
+        "execute_batch_schedule": (
+            lambda: execute_batch_schedule(block, BatchSchedule(batches), GlobalState()),
+            block_reason,
+        ),
+        "plan_block": (lambda: plan_block(runner_planning(plan, "batch"), block), block_reason),
+        "batch_to_graph": (lambda: batch_to_graph(BatchSchedule(batches)), own_size_reason),
+        "level_schedule": (lambda: level_schedule(batches, g), block_reason),
+    }[path]
+    with pytest.raises((ValidationError, InvariantError)) as info:
+        run()
+    error = info.value
+    if path == "plan_block":  # a runner's bad plan: chained to the check's error
+        assert type(error) is InvariantError
+        error = error.__cause__
+    assert type(error) is ValidationError
+    assert str(error) == reason
 
 
 @settings(max_examples=40, deadline=None)
