@@ -15,19 +15,30 @@ is checked once, before a handle is built, and is the sole safety premise: no
 two conflicting transactions ever overlap, so writes go to one overlay dict
 over the input state and need nothing beyond atomic per-key publication.
 
-The workers run on one process-wide pool of daemon threads shared by every
-execution. It starts no thread until the first execution, then grows only
-up to the largest ``MAX_WORKERS`` a handle has read, and is never shut down;
-a forked child starts with a fresh, empty pool. Each handle keeps its own
-ready heap, counters, overlay, lock and failure slot, and hands the pool one
-job per worker slot.
+The thread that waits for a block's outcome runs one worker slot itself
+(the work-first principle: the thread already running does the work), so
+a 1-tx block never touches another thread. The other slots, the helpers,
+run on one process-wide pool of daemon threads shared by every execution.
+It starts no thread until the first execution, then grows only up to the
+largest ``MAX_WORKERS`` a handle has read, less one, and is never shut
+down; a forked child starts with a fresh, empty pool. Each handle keeps its
+own ready heap, counters, overlay, lock and failure slot, and hands the
+pool one job per helper slot when it starts. No pool thread is woken for
+them until a transaction blocks (runs longer than ``_BLOCKING_NS``) or, under
+jitter, where every transaction sleeps, at once; the jobs no thread has
+taken are withdrawn when the run ends. Under the interpreter lock a second
+thread cannot speed up microsecond-scale transactions, and a woken thread
+that finds nothing to do still costs the caller a hand-off of that lock.
+A slot that commits takes the next ready transaction itself and wakes a
+sleeping slot only for each further one it readied.
 
-A handle is started once with ``start()``; ``outcome()`` waits until every
-worker slot has returned and gives every result in emission order with the
+A handle is started once with ``start()``; ``outcome()`` runs the caller's
+slot until the run ends and gives every result in emission order with the
 merged state changes. The run fails fast: the first exception raised by a
-transaction body stops it, wakes every waiter, and makes ``outcome()`` raise
-``InvariantError`` chained to that exception. A partial outcome is never
-returned.
+transaction body stops it, wakes every slot, and makes ``outcome()`` raise
+``InvariantError`` chained to that exception; any other ``BaseException``
+raised on the caller's slot, such as a Ctrl-C, propagates as itself once
+the run is failed. A partial outcome is never returned.
 
 The simulation only fixes finish order; its transactions run
 through :func:`execute_sequential`, the reference oracle.
@@ -55,6 +66,7 @@ from .schedule import (
     UNORDERED_CONFLICT,
     BatchSchedule,
     GraphSchedule,
+    check_members,
     check_partition,
     is_valid_schedule,
     latency,
@@ -62,6 +74,9 @@ from .schedule import (
 
 # Worker slots of one execution, read when its handle is built.
 MAX_WORKERS = 8
+# A transaction that runs longer than this has most likely blocked (a sleep,
+# I/O), so the first one wakes its execution's helper slots.
+_BLOCKING_NS = 100_000
 
 
 class _Pool:
@@ -69,10 +84,13 @@ class _Pool:
 
     A submission of ``count`` jobs grows the pool to ``count`` threads if it
     is smaller, so it holds as many threads as the largest submission asked
-    for; jobs beyond the threads free wait their turn in the queue. That
-    wait always ends: a worker slot blocks only while another slot of its
-    own execution is running a transaction, so every execution holding a
-    thread makes progress and hands its threads back.
+    for, but wakes no idle thread: :meth:`wake` does that, and
+    :meth:`withdraw` drops the copies of a job no thread has taken. Jobs
+    beyond the threads free wait their turn in the queue. No execution's
+    progress rests on the pool: its caller's own slot runs every transaction
+    no helper has taken, and a helper slot blocks only while another slot of
+    its execution is running a transaction, so every job returns and hands
+    its thread back.
     """
 
     def __init__(self) -> None:
@@ -84,10 +102,18 @@ class _Pool:
     def submit(self, job: Callable[[], None], count: int) -> None:
         with self._lock:
             self._jobs.extend([job] * count)
-            self._cv.notify(count)
             for _ in range(self._threads, count):
                 threading.Thread(target=self._serve, daemon=True).start()
             self._threads = max(self._threads, count)
+
+    def wake(self, count: int) -> None:
+        with self._lock:
+            self._cv.notify(count)
+
+    def withdraw(self, job: Callable[[], None]) -> None:
+        with self._lock:
+            if job in self._jobs:
+                self._jobs = deque(j for j in self._jobs if j != job)
 
     def _serve(self) -> None:
         while True:
@@ -127,14 +153,8 @@ class ExecutionOutcome:
         return {r.tx_id: r for r in self.results}
 
 
-def _jitter_rng(seed: int | None, tx_id: int) -> random.Random | None:
-    if seed is None:
-        return None
-    return random.Random(stable_seed(seed, tx_id))
-
-
 def _sleep_jitter(rng: random.Random | None, max_jitter_us: int) -> None:
-    if rng is not None and max_jitter_us > 0:
+    if rng is not None:
         time.sleep(rng.uniform(0, max_jitter_us) / 1_000_000)
 
 
@@ -163,10 +183,14 @@ def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -
 class GraphExecutionHandle:
     """A prepared concurrent execution of one valid graph schedule.
 
-    :meth:`start` hands ``min(MAX_WORKERS, n)`` worker slots to the shared
-    pool, and may be called once; :meth:`outcome` waits until every slot has
-    returned and gives the results in emission order with the merged state
-    changes.
+    It runs on ``min(MAX_WORKERS, n)`` worker slots. :meth:`start` hands all
+    but one of them to the shared pool, and may be called once;
+    :meth:`outcome` runs the last slot on the calling thread, so the thread
+    that waits for the block works on it and a 1-tx block never touches the
+    pool. Progress does not rest on the pool: the caller's slot alone runs
+    every transaction no helper has taken, and the helpers are woken only
+    once a transaction blocks. Once the run has ended :meth:`outcome` gives
+    the results in emission order with the merged state changes.
     With ``trace=True``, :attr:`trace` holds each transaction's
     ``(tx_id, start_ns, end_ns)`` once :meth:`outcome` has returned. The
     handle does not validate the schedule: :func:`execute_graph_schedule`,
@@ -195,14 +219,13 @@ class GraphExecutionHandle:
         self._ready: list[int] = []
         self._overlay: dict[str, int] = {}
         self._results: list[TxResult] = []
-        self._failure: tuple[int, Exception] | None = None
+        self._failure: tuple[int, BaseException] | None = None
         self._started = False
         self._lock = threading.Lock()
         self._work_cv = threading.Condition(self._lock)
-        self._done_cv = threading.Condition(self._lock)
         self._worker_count = min(MAX_WORKERS, len(block.txs))
-        self._running = 0  # worker slots handed to the pool and not yet returned
-        self._jitter_seed = jitter_seed
+        self._asleep = False  # helper slots handed to the pool, no thread woken for them
+        self._jitter_seed = jitter_seed if max_jitter_us > 0 else None
         self._max_jitter_us = max_jitter_us
         self.trace: list[tuple[int, int, int]] | None = [] if trace else None
 
@@ -211,39 +234,40 @@ class GraphExecutionHandle:
     def _live(self) -> bool:
         return self._failure is None and self._open > 0
 
-    def _work(self) -> None:
-        """One worker slot: run ready transactions until the run ends, then
-        hand the slot back."""
-        try:
-            while True:
-                with self._lock:
-                    while not self._ready and self._live():
-                        self._work_cv.wait()
-                    if not self._live():
-                        return
-                    tx = self._txs[heapq.heappop(self._ready)]
-                try:
-                    self._run_one(tx)
-                except Exception as exc:  # the worker boundary: recorded, re-raised by outcome()
-                    with self._lock:
-                        if self._failure is None:
-                            self._failure = (tx.id, exc)
-                        self._work_cv.notify_all()
-                    return
-        finally:
+    def _work(self) -> BaseException | None:
+        """One worker slot: run ready transactions until the run ends. An
+        exception a transaction raises fails the run and wakes every slot;
+        it is stored, like a future's, for ``outcome()`` to raise, and
+        returned to the slot's own thread."""
+        while True:
             with self._lock:
-                self._running -= 1
-                if self._running == 0:
-                    self._done_cv.notify()
+                while not self._ready and self._live():
+                    self._work_cv.wait()
+                if not self._live():
+                    return None
+                tx = self._txs[heapq.heappop(self._ready)]
+            try:
+                self._run_one(tx)
+            except BaseException as exc:  # a Ctrl-C on the caller's slot too
+                with self._lock:
+                    if self._failure is None:
+                        self._failure = (tx.id, exc)
+                    self._work_cv.notify_all()
+                return exc
 
     def _run_one(self, tx: Transaction) -> None:
-        rng = _jitter_rng(self._jitter_seed, tx.id)
-        _sleep_jitter(rng, self._max_jitter_us)
+        rng = None
+        if self._jitter_seed is not None:
+            rng = random.Random(stable_seed(self._jitter_seed, tx.id))
+            _sleep_jitter(rng, self._max_jitter_us)
         t0 = time.perf_counter_ns()
         overlay, state = self._overlay, self._state
         reads = {k: overlay[k] if k in overlay else state.get(k) for k in sorted(tx.read_set)}
         written = run_program(tx, reads)
-        _sleep_jitter(rng, self._max_jitter_us)
+        if self._asleep and time.perf_counter_ns() - t0 > _BLOCKING_NS:
+            self._wake_helpers()
+        if rng is not None:
+            _sleep_jitter(rng, self._max_jitter_us)
         self._commit(TxResult(tx_id=tx.id, read_values=reads, written_values=written), t0, rng)
 
     def _commit(self, result: TxResult, t0: int, rng: random.Random | None) -> None:
@@ -258,6 +282,9 @@ class GraphExecutionHandle:
     # -- bookkeeping, always under the lock --
 
     def _release(self, tx_id: int) -> None:
+        """Count the transaction finished and queue what it readied. The
+        committing slot goes back to the heap and takes one of them, so only
+        each further one wakes a sleeping slot."""
         readied = 0
         for succ in self._succs[tx_id]:
             self._unmet[succ] -= 1
@@ -267,7 +294,8 @@ class GraphExecutionHandle:
         self._open -= 1
         if self._open == 0:
             readied += self._open_next_batch()
-        self._work_cv.notify(readied)
+        if readied > 1:
+            self._work_cv.notify(readied - 1)
 
     def _open_next_batch(self) -> int:
         """Queue the ready transactions of the next non-empty batch; returns
@@ -286,23 +314,46 @@ class GraphExecutionHandle:
         self._work_cv.notify_all()
         return 0
 
+    def _wake_helpers(self) -> None:
+        self._asleep = False
+        _POOL.wake(self._worker_count - 1)
+
     # -- public surface --
 
     def start(self) -> None:
+        """Hand the pool ``min(MAX_WORKERS, n) - 1`` helper slots. No thread
+        is woken for them until a transaction blocks (or, under jitter, at
+        once): a woken thread that finds no work still costs the caller a
+        hand-off of the interpreter lock."""
         with self._lock:
             if self._started:
                 raise ValidationError("execution already started")
             self._started = True
             self._open_next_batch()
-            self._running = self._worker_count
-        _POOL.submit(self._work, self._worker_count)
+        if self._worker_count > 1:
+            self._asleep = True
+            _POOL.submit(self._work, self._worker_count - 1)
+            if self._jitter_seed is not None:
+                self._wake_helpers()
 
     def outcome(self) -> ExecutionOutcome:
+        """Run the caller's slot until the run ends, then withdraw the helper
+        slots no thread has taken and give the run's outcome.
+
+        When the run succeeds every transaction has committed, so no helper
+        slot still touches the results. A transaction's ``Exception`` is
+        raised as ``InvariantError``; any other ``BaseException`` raised on
+        this thread propagates as itself, after the run is failed.
+        """
         if not self._started:
             raise ValidationError("execution was never started")
-        with self._lock:
-            while self._running:
-                self._done_cv.wait()
+        try:
+            raised = self._work()
+        finally:
+            if self._worker_count > 1:
+                _POOL.withdraw(self._work)
+        if raised is not None and not isinstance(raised, Exception):
+            raise raised
         if self._failure is not None:
             tx_id, exc = self._failure
             raise InvariantError(f"tx {tx_id} raised {exc!r}; execution stopped") from exc
@@ -328,10 +379,17 @@ class BatchExecutionHandle(GraphExecutionHandle):
     """Strictly sequential batches on the graph engine: an edgeless schedule,
     the graph handle's keyword options, and a barrier that opens a batch only
     once the previous one has finished, so every transaction reads the state
-    committed by the prior batches."""
+    committed by the prior batches.
+
+    Building one counts the batches' members against the block's ids
+    (``schedule.check_members``): a repeated, out-of-range or missing id
+    raises ``ValidationError``; an empty batch is skipped. Conflicts inside a
+    batch are the caller's check, as for a graph schedule.
+    """
 
     def __init__(self, block: Block, batches: BatchSchedule, state: GlobalState, **options) -> None:
         n = len(block.txs)
+        check_members(batches.batches, n)
         super().__init__(block, GraphSchedule._of_preds([()] * n, range(n)), state, **options)
         self._batches = batches.batches
 

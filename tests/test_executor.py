@@ -3,6 +3,7 @@ import gc
 import multiprocessing
 import os
 import random
+import re
 import sys
 import threading
 import time
@@ -26,7 +27,7 @@ from blocksched.executor import (
     stress_determinism,
 )
 from blocksched.model import GlobalState, ProgramKind, TxResult, stable_seed
-from blocksched.replication import GraphPlan, make_runner, plan_block, process_block
+from blocksched.replication import BatchPlan, GraphPlan, make_runner, plan_block, process_block
 from blocksched.schedule import (
     BatchSchedule,
     GraphSchedule,
@@ -104,6 +105,34 @@ def test_batch_handle_skips_empty_batches():
     assert sorted(r.tx_id for r in out.results) == [0, 1, 2, 3]
     assert out.results_by_id() == ref.results_by_id()
     assert out.state_changes == ref.state_changes
+
+
+@pytest.mark.parametrize(
+    "batches, reason",
+    [
+        (((0,), (1,)), "partition does not cover all vertices"),
+        (((0, 2), (1, 2)), "vertex 2 appears in more than one level"),
+        (((0, 2), (), (1, 3)), "level 2: vertex 3 out of range"),
+    ],
+    ids=["missing", "repeated", "out-of-range"],
+)
+@pytest.mark.parametrize("build", ["handle", "init_execution"])
+def test_batch_handle_counts_its_members(batches, reason, build):
+    # nothing checks these lists before the handle: it must refuse them
+    # rather than drop or repeat a transaction
+    block = chain_block(3)
+    unchecked = BatchSchedule(batches)
+
+    def run():
+        if build == "handle":
+            handle = BatchExecutionHandle(block, unchecked, EMPTY)
+        else:
+            plan = BatchPlan(batches=unchecked, levels=())
+            handle = make_runner("batch").init_execution(block, plan, EMPTY)
+        return run_handle(handle)
+
+    with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
+        run_bounded(run, timeout=20)
 
 
 @pytest.mark.parametrize(
@@ -295,15 +324,26 @@ def test_two_callers_share_one_bounded_pool(monkeypatch):
         assert {i: (r.read_values, r.written_values) for i, r in out.results_by_id().items()} == {
             i: (r.read_values, r.written_values) for i, r in ref.results_by_id().items()
         }
-    # pool threads never exit, so the count now is the most ever alive
-    assert pool_threads() == MAX_WORKERS
+    # pool threads never exit, so the count now is the most ever alive; each
+    # caller ran one slot of its own execution
+    assert pool_threads() == MAX_WORKERS - 1
 
 
-def test_handle_runs_no_more_workers_than_it_read(monkeypatch):
+@pytest.mark.parametrize(
+    "edges",
+    # gated: tx 0 readies txs 1-8 at once, and the last of those the rest;
+    # the slot that commits tx 0 must take one and wake all seven parked slots
+    [
+        frozenset(),
+        frozenset([(0, v) for v in range(1, 9)] + [(u, w) for u in range(1, 9) for w in range(9, 16)]),
+    ],
+    ids=["independent", "gated"],
+)
+def test_handle_runs_no_more_workers_than_it_read(monkeypatch, edges):
     pool_threads = fresh_pool(monkeypatch)
     txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(16)]
     block = make_block(txs)
-    s = GraphSchedule(n=16, edges=frozenset())
+    s = GraphSchedule(n=16, edges=edges)
     real = executor.run_program
     gate = threading.Lock()
     active, most = [0], [0]
@@ -318,15 +358,100 @@ def test_handle_runs_no_more_workers_than_it_read(monkeypatch):
         return real(tx, reads)
 
     monkeypatch.setattr(executor, "run_program", counted)
-    run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))
-    assert pool_threads() == MAX_WORKERS
-    assert most[0] > 2  # the count below could see a violation
+    # a fresh pool's new threads take their jobs at once; on the warm pool the
+    # first transaction that blocks must wake them
+    for pool in ("fresh", "warm"):
+        most[0] = 0
+        run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))
+        assert most[0] == MAX_WORKERS, pool  # every slot overlaps a sleeping transaction
+    assert pool_threads() == MAX_WORKERS - 1  # the caller runs the last slot
     monkeypatch.setattr(executor, "MAX_WORKERS", 2)
     most[0] = 0
     out = run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))
     assert out.state_changes == {f"w{i}": i for i in range(16)}
     assert most[0] <= 2
-    assert pool_threads() == MAX_WORKERS
+    assert pool_threads() == MAX_WORKERS - 1
+
+
+def test_jitter_wakes_the_helpers_at_start(monkeypatch):
+    # a jittered transaction sleeps outside its timed body, so the run cannot
+    # wait for one to show that it blocks: C3's concurrency rests on this
+    fresh_pool(monkeypatch)
+    txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(16)]
+    block = make_block(txs)
+    s = GraphSchedule(n=16, edges=frozenset())
+    run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))  # starts the pool's threads
+    real = executor.run_program
+    ran_on = set()
+
+    def recorded(tx, reads):
+        ran_on.add(threading.current_thread())
+        return real(tx, reads)
+
+    monkeypatch.setattr(executor, "run_program", recorded)
+    handle = GraphExecutionHandle(block, s, EMPTY, jitter_seed=1, max_jitter_us=500)
+    out = run_bounded(lambda: run_handle(handle))
+    assert out.state_changes == {f"w{i}": i for i in range(16)}
+    assert len(ran_on) > 1
+
+
+class LatePool(executor._Pool):
+    """A fresh pool that holds its first submission until ``release()``."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+
+    def submit(self, job, count):
+        if self.held is None:
+            super().submit(job, count)
+        else:
+            self.held.append((job, count))
+
+    def release(self):
+        held, self.held = self.held, None
+        for job, count in held:
+            super().submit(job, count)
+
+
+class Interrupt(BaseException):
+    """Not an ``Exception``: a Ctrl-C landing inside a transaction."""
+
+
+def test_an_exception_on_the_callers_slot_ends_the_run(monkeypatch):
+    pool = LatePool()
+    monkeypatch.setattr(executor, "_POOL", pool)
+    txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(16)]
+    block = make_block(txs)
+    # tx 0 gates every other one, so helpers find nothing to run while it runs
+    gated = GraphSchedule(n=16, edges=frozenset((0, v) for v in range(1, 16)))
+    real = executor.run_program
+    caller = []
+
+    def run_program(tx, reads):
+        if caller and threading.current_thread() is caller[0]:
+            caller.clear()  # only the first execution is interrupted
+            pool.release()  # the caller holds tx 0: its helpers can only park
+            time.sleep(0.05)
+            raise Interrupt
+        return real(tx, reads)
+
+    monkeypatch.setattr(executor, "run_program", run_program)
+
+    def interrupted():
+        caller.append(threading.current_thread())
+        handle = GraphExecutionHandle(block, gated, EMPTY)
+        handle.start()
+        try:
+            handle.outcome()
+        except Interrupt:
+            return weakref.ref(handle)
+        raise AssertionError("outcome() returned without the interrupt")
+
+    handle_ref = run_bounded(interrupted)
+    assert collected(handle_ref)  # every helper slot returned and dropped its job
+    out = run_bounded(lambda: execute_graph_schedule(block, gated, EMPTY))
+    assert out.state_changes == {f"w{i}": i for i in range(16)}
 
 
 def test_batch_reader_sees_previous_batch_write():
@@ -565,12 +690,13 @@ def test_stress_more_workers_than_cores(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(10):
-            out = run_bounded(
-                lambda: execute_graph_schedule(block, s, EMPTY), timeout=60
-            )
-            assert out.state_changes == ref.state_changes, f"trial {trial}"
-            got = {i: (r.read_values, r.written_values) for i, r in out.results_by_id().items()}
-            assert got == want, f"trial {trial}"
+            # jitter wakes every helper at once: more threads than cores run
+            jittered = GraphExecutionHandle(block, s, EMPTY, jitter_seed=trial, max_jitter_us=20)
+            for run in (lambda: execute_graph_schedule(block, s, EMPTY), lambda: run_handle(jittered)):
+                out = run_bounded(run, timeout=60)
+                assert out.state_changes == ref.state_changes, f"trial {trial}"
+                got = {i: (r.read_values, r.written_values) for i, r in out.results_by_id().items()}
+                assert got == want, f"trial {trial}"
     finally:
         sys.setswitchinterval(old_interval)
 
