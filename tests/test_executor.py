@@ -329,21 +329,15 @@ def test_two_callers_share_one_bounded_pool(monkeypatch):
     assert pool_threads() == MAX_WORKERS - 1
 
 
-@pytest.mark.parametrize(
-    "edges",
-    # gated: tx 0 readies txs 1-8 at once, and the last of those the rest;
-    # the slot that commits tx 0 must take one and wake all seven parked slots
-    [
-        frozenset(),
-        frozenset([(0, v) for v in range(1, 9)] + [(u, w) for u in range(1, 9) for w in range(9, 16)]),
-    ],
-    ids=["independent", "gated"],
-)
-def test_handle_runs_no_more_workers_than_it_read(monkeypatch, edges):
+def test_handle_runs_no_more_workers_than_it_read(monkeypatch):
     pool_threads = fresh_pool(monkeypatch)
     txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(16)]
     block = make_block(txs)
-    s = GraphSchedule(n=16, edges=edges)
+    s = GraphSchedule(n=16, edges=frozenset())
+    # tx 0 readies txs 1-8 at once, and the last of those the rest
+    gated = GraphSchedule(
+        n=16, edges=[(0, v) for v in range(1, 9)] + [(u, w) for u in range(1, 9) for w in range(9, 16)]
+    )
     real = executor.run_program
     gate = threading.Lock()
     active, most = [0], [0]
@@ -358,12 +352,13 @@ def test_handle_runs_no_more_workers_than_it_read(monkeypatch, edges):
         return real(tx, reads)
 
     monkeypatch.setattr(executor, "run_program", counted)
-    # a fresh pool's new threads take their jobs at once; on the warm pool the
-    # first transaction that blocks must wake them
-    for pool in ("fresh", "warm"):
+    # gated, first: the fresh pool's new threads take their jobs at once and
+    # park while tx 0 runs, so the slot that commits it must wake all seven;
+    # then on the warm pool the first transaction that blocks must wake them
+    for schedule in (gated, s):
         most[0] = 0
-        run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))
-        assert most[0] == MAX_WORKERS, pool  # every slot overlaps a sleeping transaction
+        run_bounded(lambda: execute_graph_schedule(block, schedule, EMPTY))
+        assert most[0] == MAX_WORKERS  # every slot overlaps a sleeping transaction
     assert pool_threads() == MAX_WORKERS - 1  # the caller runs the last slot
     monkeypatch.setattr(executor, "MAX_WORKERS", 2)
     most[0] = 0
