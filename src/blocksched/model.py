@@ -23,6 +23,19 @@ _I64_SPAN = 1 << 64
 _I64_HALF = 1 << 63
 
 
+# The one canonical JSON form of every digest and ledger payload: compact
+# separators, ASCII escapes, dict keys in insertion order. Every payload is a
+# fresh tree of dicts, lists, tuples, strings and ints, which cannot hold a
+# cycle, so the encoder keeps no per-container cycle markers.
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
+def canonical_json(obj) -> str:
+    """The bytes of ``json.dumps(obj, separators=(",", ":"))``, without its
+    cycle check and without building an encoder per call."""
+    return _CANONICAL.encode(obj)
+
+
 def stable_seed(*parts) -> int:
     """Platform-independent 64-bit seed derived from the given parts."""
     digest = hashlib.sha256(":".join(repr(p) for p in parts).encode()).digest()
@@ -162,37 +175,51 @@ class GlobalState:
     """Immutable map from object keys to int64 values; absent keys read as 0.
 
     Entries with value 0 are normalized away so states that differ only in
-    explicit zeros compare and digest identically.
+    explicit zeros compare and digest identically. The entries are kept in
+    ascending key order (code-point order of the key strings): the
+    constructor sorts them once, ``with_changes`` keeps every surviving key
+    in its place and re-sorts only when it adds a key the parent lacks. So
+    ``items()`` and ``digest()`` never sort.
+
+    ``digest()`` is the sha256 hex digest of ``canonical_json(self.items())``:
+    the compact ASCII JSON list of ``[key, value]`` pairs, ascending by key,
+    zero values dropped, e.g. ``[["a",1],["b",-2]]``; ``[]`` for the empty
+    state.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[ObjectKey, int] | None = None) -> None:
+        entries = entries or {}
         self._entries: dict[ObjectKey, int] = {
-            k: w for k, v in (entries or {}).items() if (w := wrap_int64(v)) != 0
+            k: w for k in sorted(entries) if (w := wrap_int64(entries[k])) != 0
         }
 
     def get(self, key: ObjectKey) -> int:
         return self._entries.get(key, 0)
 
     def items(self) -> list[tuple[ObjectKey, int]]:
-        return sorted(self._entries.items())
+        return list(self._entries.items())
 
     def with_changes(self, changes: Mapping[ObjectKey, int]) -> "GlobalState":
-        # copy the already-normalized entries; only the changed keys need wrapping
+        # copy the already-normalized entries in their key order; only the
+        # changed keys need wrapping, and an overwritten key keeps its place
         merged = dict(self._entries)
+        fresh = False  # whether a key the parent lacks landed at the end
         for k, v in changes.items():
             if w := wrap_int64(v):
+                fresh = fresh or k not in merged
                 merged[k] = w
             else:
                 merged.pop(k, None)
+        if fresh:
+            merged = {k: merged[k] for k in sorted(merged)}
         out = GlobalState.__new__(GlobalState)
         out._entries = merged
         return out
 
     def digest(self) -> str:
-        payload = json.dumps(self.items(), separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return hashlib.sha256(canonical_json(self.items()).encode()).hexdigest()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GlobalState):
@@ -255,7 +282,7 @@ def block_to_obj(block: Block) -> dict:
 
 
 def block_to_text(block: Block) -> str:
-    return json.dumps(block_to_obj(block), separators=(",", ":")) + "\n"
+    return canonical_json(block_to_obj(block)) + "\n"
 
 
 def block_hash(block: Block) -> bytes:

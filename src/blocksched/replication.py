@@ -33,7 +33,15 @@ from .coloring import (
 from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
 from .executor import BatchExecutionHandle, GraphExecutionHandle
-from .model import Block, GlobalState, Transaction, TxResult, block_hash, validate_block
+from .model import (
+    Block,
+    GlobalState,
+    Transaction,
+    TxResult,
+    block_hash,
+    canonical_json,
+    validate_block,
+)
 from .schedule import (
     UNORDERED_CONFLICT,
     BatchSchedule,
@@ -259,16 +267,14 @@ def results_digest(results: BlockResults) -> str:
                     "writes": sorted(item.written_values.items()),
                 }
             )
-    payload = json.dumps(canonical, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return hashlib.sha256(canonical_json(canonical).encode()).hexdigest()
 
 
 def make_record(prev_digest: str, seq: int, bhash: str, rdigest: str, sdigest: str) -> LedgerRecord:
     """The record of one block, chained to the previous record's digest: the
     main loop writes it, and ``Ledger`` re-derives it to verify each record."""
-    payload = json.dumps(
-        {"prev": prev_digest, "seq": seq, "block": bhash, "results": rdigest, "state": sdigest},
-        separators=(",", ":"),
+    payload = canonical_json(
+        {"prev": prev_digest, "seq": seq, "block": bhash, "results": rdigest, "state": sdigest}
     )
     return LedgerRecord(seq, bhash, rdigest, sdigest, hashlib.sha256(payload.encode()).hexdigest())
 
@@ -283,7 +289,7 @@ class Ledger:
         self.path = Path(path)
 
     def append(self, record: LedgerRecord) -> None:
-        payload = json.dumps(asdict(record), separators=(",", ":")).encode()
+        payload = canonical_json(asdict(record)).encode()
         with open(self.path, "ab") as fh:
             fh.write(struct.pack(">I", len(payload)))
             fh.write(payload)

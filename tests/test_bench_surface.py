@@ -16,6 +16,7 @@ import importlib
 from pathlib import Path
 
 from blocksched import conflict, replication
+from blocksched.model import GlobalState
 from blocksched.workload import WorkloadSpec, gen_block
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -121,3 +122,19 @@ def test_runners_and_plans_have_what_the_harness_reads(monkeypatch):
             order = plan.schedule.topo_order()
             assert type(plan.schedule.edges) is frozenset
         assert sorted(order) == list(range(len(block.txs))), name
+
+
+def test_state_items_are_what_the_replay_check_compares(monkeypatch):
+    # the replay check compares ``final.items()`` with ``sorted(...)`` of its
+    # own dict, and its incremental digest with the ledger's state digest
+    monkeypatch.syspath_prepend(str(BENCH))
+    import harness
+
+    values = {"c10": 3, "h1": 2, "c2": 1, "b": 7}
+    state = GlobalState(values).with_changes({"a": 4, "c2": 0, "h1": 5})
+    values.update({"a": 4, "h1": 5})
+    del values["c2"]
+    items = state.items()
+    assert type(items) is list and all(type(item) is tuple for item in items)
+    assert items == sorted(values.items())
+    assert harness.StateDigest(values).hexdigest() == state.digest()

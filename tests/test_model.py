@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import pickle
+import random
 from collections.abc import Mapping
 
 import pytest
@@ -20,6 +22,7 @@ from blocksched.model import (
     block_hash,
     block_to_obj,
     block_to_text,
+    canonical_json,
     run_program,
     validate_block,
     wrap_int64,
@@ -146,6 +149,114 @@ def test_with_changes_digest_equals_state_built_from_scratch(base, changes):
     assert child == GlobalState(merged)
     assert child.digest() == GlobalState(merged).digest()
     assert all(v != 0 and v == wrap_int64(v) for _, v in child.items())
+
+
+def oracle_items(entries: dict) -> list:
+    """The state's entries as the digest has always read them: the non-zero
+    pairs, sorted."""
+    return sorted((k, v) for k, v in entries.items() if v)
+
+
+def oracle_digest(entries: dict) -> str:
+    """The state digest's reference formula, independent of ``GlobalState``."""
+    payload = json.dumps(oracle_items(entries), separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+# key characters: ASCII around the letters, JSON's escaped characters, and
+# non-ASCII from Latin-1 to the astral planes (written as surrogate pairs)
+KEY_CHARS = [
+    "\x00", "\x1f", " ", '"', "\\", "/", "0", "A", "a", "m", "z", "~", "\x7f",
+    "é", "ÿ", "€", "\uffff", "\U0001f600",
+]
+INT64_EDGES = [1, -1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64, 2**64 + 1, -(2**64)]
+STATE_VALUES = st.sampled_from(INT64_EDGES) | st.just(0) | st.integers(-(2**70), 2**70)
+STATE_KEYS = st.text(st.sampled_from(KEY_CHARS), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(STATE_KEYS, STATE_VALUES, max_size=12), st.data())
+def test_digest_and_items_equal_the_oracle_along_a_change_chain(base, data):
+    # every step overwrites, zeroes and re-adds keys seen before (dropped
+    # ones included) and adds fresh keys anywhere in the key order
+    state = GlobalState(base)
+    entries = {k: wrap_int64(v) for k, v in base.items()}
+    seen = set(base)
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        assert state.items() == oracle_items(entries)
+        keys = [k for k, _ in state.items()]
+        assert keys == sorted(keys)
+        assert state.digest() == oracle_digest(entries)
+        known = st.sampled_from(sorted(seen)) if seen else STATE_KEYS
+        changes = data.draw(st.dictionaries(known | STATE_KEYS, STATE_VALUES, max_size=6), label="changes")
+        before, parent = state.items(), state
+        state = state.with_changes(changes)
+        assert parent.items() == before
+        entries.update({k: wrap_int64(v) for k, v in changes.items()})
+        seen.update(changes)
+    assert state.items() == oracle_items(entries)
+    assert state.digest() == oracle_digest(entries)
+    assert state == GlobalState(entries)
+
+
+def test_fresh_keys_before_inside_and_after_keep_key_order():
+    state = GlobalState({"m": 1, "b": 2, "y": 3})
+    assert state.items() == [("b", 2), ("m", 1), ("y", 3)]
+    state = state.with_changes({"m": 5, "a": 1, "n": 2, "z": 3, "b": 0})
+    assert state.items() == [("a", 1), ("m", 5), ("n", 2), ("y", 3), ("z", 3)]
+    state = state.with_changes({"b": 9, "y": 0})  # re-adds a dropped key
+    assert state.items() == [("a", 1), ("b", 9), ("m", 5), ("n", 2), ("z", 3)]
+
+
+def big_state_entries(seed: int) -> dict:
+    """A 20 008-key state built as the benchmark's ``smr-big-state`` workload
+    builds its replica's state for ``seed``: 8 hot keys, then 20 000 cold
+    keys, each with a seeded value in [1, 10^6]."""
+    derived = int.from_bytes(hashlib.sha256(repr(("smr-big-state", seed)).encode()).digest()[:8], "big")
+    rng = random.Random(derived)
+    keys = [f"h{i}" for i in range(8)] + [f"c{i}" for i in range(20_000)]
+    return {key: rng.randint(1, 1_000_000) for key in keys}
+
+
+def test_state_digests_are_golden():
+    # recorded with the sort-per-digest implementation; they pin the byte
+    # format even if the oracle and the code were changed together
+    assert GlobalState().digest() == "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+    big = GlobalState(big_state_entries(1))
+    assert len(big.items()) == 20_008
+    assert big.digest() == "4b593354bda3eb898125819cf07df67db0fe60c70ff2c234cebfeb50229cfab6"
+    child = big.with_changes({"c5": 0, "a": 7, "zz": -1, "h3": 2**63, "c10000": 5, "c99999": 3})
+    assert child.digest() == "8f33a626b3dbb09a85aa16dd748107bebebc57a1036d5226f0be25c7f0aee2ac"
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.sampled_from(INT64_EDGES)
+    | st.text()
+    | st.text(st.sampled_from(KEY_CHARS))
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | st.text(st.sampled_from(KEY_CHARS)), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_TREES)
+def test_canonical_json_writes_the_bytes_of_compact_dumps(tree):
+    assert canonical_json(tree) == json.dumps(tree, separators=(",", ":"))
+
+
+def test_canonical_json_examples():
+    assert canonical_json([("ké\"\\\n", 2**64), None, True, {"b": [], "a": ()}]) == (
+        '[["k\\u00e9\\"\\\\\\n",18446744073709551616],null,true,{"b":[],"a":[]}]'
+    )
+    assert canonical_json("\U0001f600") == '"\\ud83d\\ude00"'
 
 
 def test_block_round_trip_identity():
