@@ -33,15 +33,7 @@ from .coloring import (
 from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
 from .executor import BatchExecutionHandle, GraphExecutionHandle
-from .model import (
-    Block,
-    GlobalState,
-    Transaction,
-    TxResult,
-    block_hash,
-    canonical_json,
-    validate_block,
-)
+from .model import Block, GlobalState, Transaction, TxResult, block_hash, canonical_json, validate_block
 from .schedule import (
     UNORDERED_CONFLICT,
     BatchSchedule,
