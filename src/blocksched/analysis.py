@@ -16,7 +16,6 @@ local bitsets.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -408,16 +407,6 @@ def study_csv_row(cell: StudyCell) -> str:
 
 def study_to_csv(cells: Iterable[StudyCell]) -> str:
     return "".join(f"{line}\n" for line in (STUDY_CSV_HEADER, *map(study_csv_row, cells)))
-
-
-def concurrency_level_floor(chain_len: int, min_phases: int) -> int:
-    """Minimum number of distinct concurrency levels reachable by reordering,
-    given the longest conflict chain length and the minimum phase count."""
-    if min_phases < 2:
-        raise ValidationError("min_phases must be >= 2")
-    if chain_len < min_phases:
-        raise ValidationError("chain_len must be at least min_phases")
-    return math.ceil((chain_len - (min_phases - 1)) / (min_phases - 1))
 
 
 # ---------------------------------------------------------------------------

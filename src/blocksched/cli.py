@@ -11,11 +11,11 @@ import itertools
 import json
 import sys
 
-from . import analysis, workload
 from .conflict import build_conflict_graph, dump_edges
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
-from .executor import _simulate_checked
+from .executor import simulate_execution
 from .model import (
+    LENGTH_MODES,
     GlobalState,
     read_block_file,
     read_stream_file,
@@ -118,7 +118,7 @@ def cmd_execute(args) -> int:
             print(f"{tx_id} {start_ns} {end_ns}")
     if args.simulate:
         graph_schedule = _graph_schedule(plan)
-        _, makespan = _simulate_checked(block, graph_schedule, state)
+        _, makespan = simulate_execution(block, graph_schedule, state)
         print(f"makespan {makespan}")
     print("results:")
     for result in sorted(outcome.results, key=lambda r: r.tx_id):
@@ -148,6 +148,8 @@ def cmd_smr(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+
     cells = analysis.vulnerability_study(
         args.ns, args.ps, args.samples, args.seed, workers=args.workers
     )
@@ -161,6 +163,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import analysis
+
     block = read_block_file(args.block_file)
     # first and under its own smaller cap: it enumerates every order of the block
     other = analysis.optimal_latency_all_orientations(block) if args.double_check else None
@@ -180,7 +184,9 @@ def cmd_conflicts(args) -> int:
     return EXIT_OK
 
 
-def _spec_from_args(args, seed: int) -> workload.WorkloadSpec:
+def _spec_from_args(args, seed: int):
+    from . import workload
+
     return workload.WorkloadSpec(
         n_txs=args.n,
         key_universe=args.keys,
@@ -194,6 +200,8 @@ def _spec_from_args(args, seed: int) -> workload.WorkloadSpec:
 
 
 def cmd_gen_block(args) -> int:
+    from . import workload
+
     if args.chain:
         block = workload.chain_block(args.n, length=args.length_base)
     else:
@@ -204,6 +212,8 @@ def cmd_gen_block(args) -> int:
 
 
 def cmd_gen_stream(args) -> int:
+    from . import workload
+
     if args.blocks < 0:
         raise ValidationError("--blocks must be non-negative")
     specs = [_spec_from_args(args, args.seed + i) for i in range(args.blocks)]
@@ -275,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_gen.add_argument("--n", type=int, default=8, help="transactions per block")
         p_gen.add_argument("--keys", type=int, default=16)
         p_gen.add_argument("--seed", type=int, default=0)
-        p_gen.add_argument("--length-mode", choices=list(workload.LENGTH_MODES), default="homogeneous")
+        p_gen.add_argument("--length-mode", choices=list(LENGTH_MODES), default="homogeneous")
         p_gen.add_argument("--length-base", type=int, default=1)
         p_gen.add_argument("--length-epsilon", type=int, default=0)
         p_gen.add_argument("--length-choices", type=_comma_list(int), default="1,10,100,1000")

@@ -361,20 +361,6 @@ class GraphExecutionHandle:
         return ExecutionOutcome(results=tuple(self._results), state_changes=changes)
 
 
-class _EarlyReleaseHandle(GraphExecutionHandle):
-    """The negative control's defect: successors are released before the
-    writes are committed, so they can observe stale state."""
-
-    def _commit(self, result: TxResult, t0: int, rng: random.Random | None) -> None:
-        with self._lock:
-            self._results.append(result)
-            self._release(result.tx_id)
-        time.sleep(0.0001)
-        _sleep_jitter(rng, self._max_jitter_us)
-        with self._lock:
-            self._overlay.update(result.written_values)
-
-
 class BatchExecutionHandle(GraphExecutionHandle):
     """Strictly sequential batches on the graph engine: an edgeless schedule,
     the graph handle's keyword options, and a barrier that opens a batch only
@@ -429,14 +415,6 @@ def simulate_execution(
     exactly its length; the returned makespan equals the schedule's latency.
     """
     _check_graph(block, schedule)
-    return _simulate_checked(block, schedule, state)
-
-
-def _simulate_checked(
-    block: Block, schedule: GraphSchedule, state: GlobalState
-) -> tuple[ExecutionOutcome, int]:
-    """``simulate_execution`` for a schedule already checked against the
-    block's conflict graph (as ``replication.plan_block`` does)."""
     lengths = {tx.id: tx.length for tx in block.txs}
     n = schedule.n
     remaining = {v: len(schedule.preds[v]) for v in range(n)}

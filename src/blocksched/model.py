@@ -22,6 +22,10 @@ ObjectKey = str
 _I64_SPAN = 1 << 64
 _I64_HALF = 1 << 63
 
+# How a generated block draws its transaction lengths (``workload.WorkloadSpec``);
+# defined here so the CLI can list them without importing the generators.
+LENGTH_MODES = ("homogeneous", "epsilon", "heterogeneous")
+
 
 # The one canonical JSON form of every digest and ledger payload: compact
 # separators, ASCII escapes, dict keys in insertion order. Every payload is a

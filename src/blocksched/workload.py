@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from .conflict import ConflictGraph
 from .errors import ValidationError
 from .model import (
+    LENGTH_MODES,
     Block,
     ProgramKind,
     Transaction,
@@ -16,7 +17,6 @@ from .model import (
     block_hash,
 )
 
-LENGTH_MODES = ("homogeneous", "epsilon", "heterogeneous")
 # per generated transaction: inclusive ranges of read- and write-set sizes,
 # and the program kinds drawn from (in this order)
 READ_SIZE = (0, 2)

@@ -10,10 +10,11 @@ from __future__ import annotations
 import itertools
 import random
 import threading
+import time
 
 from blocksched import executor
 from blocksched.conflict import ConflictGraph
-from blocksched.model import Block, ProgramKind, Transaction, TxProgram
+from blocksched.model import Block, ProgramKind, Transaction, TxProgram, TxResult
 from blocksched.replication import BlockRunner
 from blocksched.schedule import GraphSchedule
 
@@ -200,3 +201,17 @@ def inject_tx_failure(monkeypatch, bad_id: int, armed=lambda: True) -> None:
         return real(tx, reads)
 
     monkeypatch.setattr(executor, "run_program", run_program)
+
+
+class EarlyReleaseHandle(executor.GraphExecutionHandle):
+    """The determinism suite's negative control: successors are released
+    before the writes are committed, so they can observe stale state."""
+
+    def _commit(self, result: TxResult, t0: int, rng: random.Random | None) -> None:
+        with self._lock:
+            self._results.append(result)
+            self._release(result.tx_id)
+        time.sleep(0.0001)
+        executor._sleep_jitter(rng, self._max_jitter_us)
+        with self._lock:
+            self._overlay.update(result.written_values)

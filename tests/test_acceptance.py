@@ -17,7 +17,6 @@ from blocksched.analysis import (
     transform_graph_to_block,
     vulnerability_study,
 )
-from blocksched import executor
 from blocksched.coloring import exact_min_coloring, partition_from_coloring
 from blocksched.conflict import build_conflict_graph
 from blocksched.executor import (
@@ -44,7 +43,7 @@ from blocksched.workload import (
     gen_commutative_stream,
 )
 
-from conftest import random_graph, random_valid_schedule
+from conftest import EarlyReleaseHandle, random_graph, random_valid_schedule
 
 EMPTY = GlobalState()
 RUNNERS = ["order", "greedy", "min-coloring", "batch"]
@@ -129,7 +128,7 @@ def test_c03_sequential_determinism():
             EMPTY,
             trials=100,
             max_jitter_us=80,
-            handle=executor._EarlyReleaseHandle,
+            handle=EarlyReleaseHandle,
         )
         if not report.ok:
             broken_caught = True

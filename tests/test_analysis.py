@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from blocksched import analysis
 from blocksched.analysis import (
     CounterexampleReport,
-    concurrency_level_floor,
     connected_graph_catalog,
     est_longest_path,
     gnp_graph,
@@ -281,19 +280,6 @@ def test_vulnerability_study_parallel_matches_serial():
     serial = list(vulnerability_study([12], [0.1, 0.3], samples=4, seed=9, workers=1))
     parallel = list(vulnerability_study([12], [0.1, 0.3], samples=4, seed=9, workers=2))
     assert study_to_csv(serial) == study_to_csv(parallel)
-
-
-def test_concurrency_level_floor_values():
-    assert concurrency_level_floor(9, 2) == 8
-    assert concurrency_level_floor(4, 4) == 1
-    assert concurrency_level_floor(10, 4) == 3  # ceil(7/3)
-
-
-def test_concurrency_level_floor_domain():
-    with pytest.raises(ValidationError):
-        concurrency_level_floor(5, 1)
-    with pytest.raises(ValidationError):
-        concurrency_level_floor(2, 3)
 
 
 def test_hetero_search_finds_a_and_c_quickly():

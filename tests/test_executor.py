@@ -39,6 +39,7 @@ from blocksched.schedule import (
 from blocksched.workload import WorkloadSpec, chain_block, gen_block
 
 from conftest import (
+    EarlyReleaseHandle,
     make_block,
     make_tx,
     inject_tx_failure,
@@ -626,7 +627,7 @@ def test_broken_executor_is_caught():
     g = build_conflict_graph(block)
     s = level_schedule([(0, 2, 4, 6), (1, 3, 5, 7)], g)
     report = stress_determinism(
-        block, s, EMPTY, trials=60, max_jitter_us=200, handle=executor._EarlyReleaseHandle
+        block, s, EMPTY, trials=60, max_jitter_us=200, handle=EarlyReleaseHandle
     )
     assert not report.ok
     assert report.diff
