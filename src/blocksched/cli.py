@@ -110,7 +110,6 @@ def cmd_execute(args) -> int:
     runner = _runner(args)
     plan = plan_block(runner, block)
     handle = runner.init_execution(block, plan, state, trace=args.trace)
-    handle.start()
     outcome = handle.outcome()
     if args.trace:
         print("trace:")

@@ -19,26 +19,27 @@ The thread that waits for a block's outcome runs one worker slot itself
 (the work-first principle: the thread already running does the work), so
 a 1-tx block never touches another thread. The other slots, the helpers,
 run on one process-wide pool of daemon threads shared by every execution.
-It starts no thread until the first execution, then grows only up to the
-largest ``MAX_WORKERS`` a handle has read, less one, and is never shut
-down; a forked child starts with a fresh, empty pool. Each handle keeps its
-own ready heap, counters, overlay, lock and failure slot, and hands the
-pool one job per helper slot when it starts. No pool thread is woken for
-them until a transaction blocks (runs longer than ``_BLOCKING_NS``) or, under
-jitter, where every transaction sleeps, at once; the jobs no thread has
-taken are withdrawn when the run ends. Under the interpreter lock a second
-thread cannot speed up microsecond-scale transactions, and a woken thread
-that finds nothing to do still costs the caller a hand-off of that lock.
-A slot that commits takes the next ready transaction itself and wakes a
-sleeping slot only for each further one it readied.
+It starts no thread until an execution first hands it helpers, then grows
+only up to the largest ``MAX_WORKERS`` a handle has read, less one, and is
+never shut down; a forked child starts with a fresh, empty pool. Each
+handle keeps its own ready heap, counters, overlay, lock and failure slot.
+It hands the pool one job per helper slot, and wakes a thread for each, only
+once a transaction blocks (runs longer than ``_BLOCKING_NS``) or, under
+jitter, where every transaction sleeps, at once; a run that never blocks
+hands the pool nothing. Under the interpreter lock a second thread cannot
+speed up microsecond-scale transactions, and a woken thread that finds
+nothing to do still costs the caller a hand-off of that lock. A slot that
+commits takes the next ready transaction itself and wakes a sleeping slot
+only for each further one it readied.
 
-A handle is started once with ``start()``; ``outcome()`` runs the caller's
-slot until the run ends and gives every result in emission order with the
-merged state changes. The run fails fast: the first exception raised by a
-transaction body stops it, wakes every slot, and makes ``outcome()`` raise
-``InvariantError`` chained to that exception; any other ``BaseException``
-raised on the caller's slot, such as a Ctrl-C, propagates as itself once
-the run is failed. A partial outcome is never returned.
+One call runs an execution: ``outcome()`` opens the first batch, runs the
+caller's slot until the run ends and gives every result in emission order
+with the merged state changes; it may be called once per handle. The run
+fails fast: the first exception raised by a transaction body stops it,
+wakes every slot, and makes ``outcome()`` raise ``InvariantError`` chained
+to that exception; any other ``BaseException`` raised on the caller's slot,
+such as a Ctrl-C, propagates as itself once the run is failed. A partial
+outcome is never returned.
 
 The simulation only fixes finish order; its transactions run
 through :func:`execute_sequential`, the reference oracle.
@@ -82,15 +83,14 @@ _BLOCKING_NS = 100_000
 class _Pool:
     """Daemon threads that run queued jobs, one at a time each, forever.
 
-    A submission of ``count`` jobs grows the pool to ``count`` threads if it
-    is smaller, so it holds as many threads as the largest submission asked
-    for, but wakes no idle thread: :meth:`wake` does that, and
-    :meth:`withdraw` drops the copies of a job no thread has taken. Jobs
-    beyond the threads free wait their turn in the queue. No execution's
-    progress rests on the pool: its caller's own slot runs every transaction
-    no helper has taken, and a helper slot blocks only while another slot of
-    its execution is running a transaction, so every job returns and hands
-    its thread back.
+    :meth:`submit` queues ``count`` copies of a job, grows the pool to
+    ``count`` threads if it is smaller, and wakes ``count`` idle threads for
+    them, so the pool holds as many threads as the largest submission asked
+    for. Jobs beyond the threads free wait their turn in the queue. No
+    execution's progress rests on the pool: its caller's own slot runs every
+    transaction no helper has taken, and a helper slot blocks only while
+    another slot of its execution is running a transaction, so every job
+    returns and hands its thread back.
     """
 
     def __init__(self) -> None:
@@ -105,15 +105,7 @@ class _Pool:
             for _ in range(self._threads, count):
                 threading.Thread(target=self._serve, daemon=True).start()
             self._threads = max(self._threads, count)
-
-    def wake(self, count: int) -> None:
-        with self._lock:
             self._cv.notify(count)
-
-    def withdraw(self, job: Callable[[], None]) -> None:
-        with self._lock:
-            if job in self._jobs:
-                self._jobs = deque(j for j in self._jobs if j != job)
 
     def _serve(self) -> None:
         while True:
@@ -183,19 +175,19 @@ def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -
 class GraphExecutionHandle:
     """A prepared concurrent execution of one valid graph schedule.
 
-    It runs on ``min(MAX_WORKERS, n)`` worker slots. :meth:`start` hands all
-    but one of them to the shared pool, and may be called once;
-    :meth:`outcome` runs the last slot on the calling thread, so the thread
-    that waits for the block works on it and a 1-tx block never touches the
-    pool. Progress does not rest on the pool: the caller's slot alone runs
-    every transaction no helper has taken, and the helpers are woken only
-    once a transaction blocks. Once the run has ended :meth:`outcome` gives
-    the results in emission order with the merged state changes.
-    With ``trace=True``, :attr:`trace` holds each transaction's
-    ``(tx_id, start_ns, end_ns)`` once :meth:`outcome` has returned. The
-    handle does not validate the schedule: :func:`execute_graph_schedule`,
-    :func:`stress_determinism` and ``replication.plan_block`` check it
-    before building one.
+    It runs on ``min(MAX_WORKERS, n)`` worker slots. :meth:`outcome`, which
+    may be called once, runs the execution: one slot on the calling thread,
+    so the thread that waits for the block works on it and a 1-tx block never
+    touches the pool. Progress does not rest on the pool: the caller's slot
+    alone runs every transaction no helper has taken, and the other slots are
+    handed to the pool only once a transaction blocks (under jitter, at
+    once). Once the run has ended :meth:`outcome` gives the results in
+    emission order with the merged state changes. With ``trace=True``,
+    :attr:`trace` holds each transaction's ``(tx_id, start_ns, end_ns)`` once
+    :meth:`outcome` has returned. A negative ``max_jitter_us`` raises
+    ``ValidationError``; 0 means no jitter. The handle does not validate the
+    schedule: :func:`execute_graph_schedule`, :func:`stress_determinism` and
+    ``replication.plan_block`` check it before building one.
     """
 
     def __init__(
@@ -208,6 +200,8 @@ class GraphExecutionHandle:
         max_jitter_us: int = 0,
         trace: bool = False,
     ) -> None:
+        if max_jitter_us < 0:
+            raise ValidationError(f"max_jitter_us must be >= 0, got {max_jitter_us}")
         self._txs = {tx.id: tx for tx in block.txs}
         self._state = state
         self._succs = schedule.succs
@@ -224,7 +218,7 @@ class GraphExecutionHandle:
         self._lock = threading.Lock()
         self._work_cv = threading.Condition(self._lock)
         self._worker_count = min(MAX_WORKERS, len(block.txs))
-        self._asleep = False  # helper slots handed to the pool, no thread woken for them
+        self._asleep = self._worker_count > 1  # helper slots not handed to the pool yet
         self._jitter_seed = jitter_seed if max_jitter_us > 0 else None
         self._max_jitter_us = max_jitter_us
         self.trace: list[tuple[int, int, int]] | None = [] if trace else None
@@ -315,43 +309,31 @@ class GraphExecutionHandle:
         return 0
 
     def _wake_helpers(self) -> None:
+        """Hand the pool ``min(MAX_WORKERS, n) - 1`` helper slots, once, from
+        the caller's thread: before this no other thread touches the run."""
         self._asleep = False
-        _POOL.wake(self._worker_count - 1)
+        _POOL.submit(self._work, self._worker_count - 1)
 
     # -- public surface --
 
-    def start(self) -> None:
-        """Hand the pool ``min(MAX_WORKERS, n) - 1`` helper slots. No thread
-        is woken for them until a transaction blocks (or, under jitter, at
-        once): a woken thread that finds no work still costs the caller a
-        hand-off of the interpreter lock."""
-        with self._lock:
-            if self._started:
-                raise ValidationError("execution already started")
-            self._started = True
-            self._open_next_batch()
-        if self._worker_count > 1:
-            self._asleep = True
-            _POOL.submit(self._work, self._worker_count - 1)
-            if self._jitter_seed is not None:
-                self._wake_helpers()
-
     def outcome(self) -> ExecutionOutcome:
-        """Run the caller's slot until the run ends, then withdraw the helper
-        slots no thread has taken and give the run's outcome.
+        """Run the execution: open the first batch, wake the helpers at once
+        under jitter, run the caller's slot until the run ends, and give the
+        run's outcome. A second call raises ``ValidationError``.
 
         When the run succeeds every transaction has committed, so no helper
         slot still touches the results. A transaction's ``Exception`` is
         raised as ``InvariantError``; any other ``BaseException`` raised on
         this thread propagates as itself, after the run is failed.
         """
-        if not self._started:
-            raise ValidationError("execution was never started")
-        try:
-            raised = self._work()
-        finally:
-            if self._worker_count > 1:
-                _POOL.withdraw(self._work)
+        with self._lock:
+            if self._started:
+                raise ValidationError("execution already started")
+            self._started = True
+            self._open_next_batch()
+        if self._asleep and self._jitter_seed is not None:
+            self._wake_helpers()
+        raised = self._work()
         if raised is not None and not isinstance(raised, Exception):
             raise raised
         if self._failure is not None:
@@ -391,9 +373,7 @@ def execute_graph_schedule(
 ) -> ExecutionOutcome:
     """Run the block concurrently under a valid graph schedule (blocking)."""
     _check_graph(block, schedule)
-    handle = GraphExecutionHandle(block, schedule, state)
-    handle.start()
-    return handle.outcome()
+    return GraphExecutionHandle(block, schedule, state).outcome()
 
 
 def execute_batch_schedule(
@@ -401,9 +381,7 @@ def execute_batch_schedule(
 ) -> ExecutionOutcome:
     """Run the block batch by batch (blocking)."""
     check_partition(batches.batches, build_conflict_graph(block))
-    handle = BatchExecutionHandle(block, batches, state)
-    handle.start()
-    return handle.outcome()
+    return BatchExecutionHandle(block, batches, state).outcome()
 
 
 def simulate_execution(
@@ -496,7 +474,6 @@ def stress_determinism(
             jitter_seed=stable_seed(seed, trial),
             max_jitter_us=max_jitter_us,
         )
-        run.start()
         diff = _outcome_diff(f"trial {trial}", run.outcome(), baseline)
         if diff is not None:
             return DeterminismReport(ok=False, trials_run=trial + 1, diff=diff)

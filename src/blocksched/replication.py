@@ -225,9 +225,7 @@ def process_block(
     if problems:
         reason = "; ".join(problems)
         return {}, [TxError(tx_id=tx.id, error=reason) for tx in block.txs]
-    execution = runner.init_execution(block, plan_block(runner, block), state)
-    execution.start()
-    outcome = execution.outcome()
+    outcome = runner.init_execution(block, plan_block(runner, block), state).outcome()
     return outcome.state_changes, list(outcome.results)
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 from blocksched import conflict, replication
 from blocksched.model import GlobalState
-from blocksched.workload import WorkloadSpec, gen_block
+from blocksched.workload import WorkloadSpec, gen_block, gen_stream
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -138,3 +139,30 @@ def test_state_items_are_what_the_replay_check_compares(monkeypatch):
     assert type(items) is list and all(type(item) is tuple for item in items)
     assert items == sorted(values.items())
     assert harness.StateDigest(values).hexdigest() == state.digest()
+
+
+def test_the_engine_span_is_one_outcome_per_block(monkeypatch, tmp_path):
+    # the benchmark times the engine as the tracer's ``executor.init`` and
+    # ``executor.outcome`` spans: one ``outcome()`` call runs an execution
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    stream = gen_stream([WorkloadSpec(n_txs=12, key_universe=6, seed=seed) for seed in range(3)])
+    tracer = Tracer()
+
+    def blocks():
+        for block in stream:
+            tracer.seq = block.seq
+            yield block
+
+    tracer.install()
+    try:
+        replication.run_main_loop(
+            replication.make_runner("min-coloring"), blocks(), GlobalState(), tmp_path / "ledger"
+        )
+    finally:
+        tracer.uninstall()
+    spans = Counter((seq, name) for _, _, name, seq, _, _ in tracer.spans if name.startswith("executor."))
+    assert spans == Counter(
+        {(block.seq, name): 1 for block in stream for name in ("executor.init", "executor.outcome")}
+    )

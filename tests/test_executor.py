@@ -85,14 +85,7 @@ def test_graph_execution_dependent_pair_always_agrees():
         assert out.results_by_id()[1].read_values == {"x": 1}
 
 
-def test_outcome_before_start_is_rejected():
-    handle = GraphExecutionHandle(writer_reader_block(), GraphSchedule(n=2, edges={(0, 1)}), EMPTY)
-    with pytest.raises(ValidationError, match="execution was never started"):
-        handle.outcome()
-
-
 def run_handle(handle):
-    handle.start()
     return handle.outcome()
 
 
@@ -152,18 +145,39 @@ def test_an_empty_block_finishes(build):
 
 
 @pytest.mark.parametrize("handle", ["graph", "batch"])
-def test_second_start_is_rejected(handle):
+def test_second_outcome_is_rejected(handle):
+    # a second run would open a batch barrier early: the handle runs once
     block = writer_reader_block()
     if handle == "graph":
         run = GraphExecutionHandle(block, GraphSchedule(n=2, edges={(0, 1)}), EMPTY)
     else:
         run = BatchExecutionHandle(block, BatchSchedule(((0,), (1,))), EMPTY)
-    run.start()
-    with pytest.raises(ValidationError, match="^execution already started$"):
-        run.start()
     out = run.outcome()
     assert sorted(r.tx_id for r in out.results) == [0, 1]
     assert out.state_changes == {"x": 1, "y": 2}
+    with pytest.raises(ValidationError, match="^execution already started$"):
+        run.outcome()
+
+
+@pytest.mark.parametrize("handle", ["graph", "batch"])
+def test_a_negative_jitter_is_rejected(handle):
+    def build(max_jitter_us):
+        block = writer_reader_block()
+        jitter = {"jitter_seed": 1, "max_jitter_us": max_jitter_us}
+        if handle == "graph":
+            return GraphExecutionHandle(block, GraphSchedule(n=2, edges={(0, 1)}), EMPTY, **jitter)
+        return BatchExecutionHandle(block, BatchSchedule(((0,), (1,))), EMPTY, **jitter)
+
+    with pytest.raises(ValidationError, match="^max_jitter_us must be >= 0, got -200$"):
+        build(-200)
+    assert build(0).outcome().state_changes == {"x": 1, "y": 2}  # 0 means no jitter
+
+
+def test_a_negative_jitter_cannot_switch_the_stress_harness_off():
+    block = chain_block(8)
+    s = level_schedule([(0, 2, 4, 6), (1, 3, 5, 7)], build_conflict_graph(block))
+    with pytest.raises(ValidationError, match="^max_jitter_us must be >= 0, got -200$"):
+        stress_determinism(block, s, EMPTY, trials=60, max_jitter_us=-200, handle=EarlyReleaseHandle)
 
 
 def test_outcome_diff_reports_each_difference():
@@ -183,9 +197,7 @@ def test_graph_execution_independent_writers_any_arrival_order():
     txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(8)]
     block = make_block(txs)
     s = GraphSchedule(n=8, edges=frozenset())
-    handle = GraphExecutionHandle(block, s, EMPTY, jitter_seed=5, max_jitter_us=100)
-    handle.start()
-    out = handle.outcome()
+    out = GraphExecutionHandle(block, s, EMPTY, jitter_seed=5, max_jitter_us=100).outcome()
     assert out.state_changes == {f"w{i}": i for i in range(8)}
     assert sorted(r.tx_id for r in out.results) == list(range(8))
 
@@ -246,17 +258,23 @@ class WeakState(GlobalState):
     __slots__ = ("__weakref__",)
 
 
+def jittered(block, s, state=EMPTY):
+    """A handle whose jitter hands the pool its helpers before the first
+    transaction runs."""
+    return GraphExecutionHandle(block, s, state, jitter_seed=1, max_jitter_us=20)
+
+
 @pytest.mark.parametrize("bad_id", [None, 5])
 def test_idle_pool_threads_keep_no_execution_alive(monkeypatch, bad_id):
     block = gen_block(WorkloadSpec(n_txs=24, key_universe=6, seed=8))
     s = greedy_level_schedule(block)
+    fresh_pool(monkeypatch)
     if bad_id is not None:
         inject_tx_failure(monkeypatch, bad_id=bad_id)
 
     def run():
         state = WeakState({f"k{i}": i + 1 for i in range(6)})
-        handle = GraphExecutionHandle(block, s, state)
-        handle.start()
+        handle = jittered(block, s, state)
         try:
             handle.outcome()
             failed = False
@@ -266,12 +284,15 @@ def test_idle_pool_threads_keep_no_execution_alive(monkeypatch, bad_id):
 
     handle_ref, state_ref, failed = run()
     assert failed == (bad_id is not None)
+    assert executor._POOL.submits == [MAX_WORKERS - 1]  # pool threads ran its helper slots
     assert collected(handle_ref)
     assert collected(state_ref)
 
 
 def _run_in_forked_child(block, s, want):
-    assert execute_graph_schedule(block, s, EMPTY).state_changes == want
+    assert executor._POOL._threads == 0  # the parent's threads are not the child's
+    assert jittered(block, s).outcome().state_changes == want
+    assert executor._POOL._threads == MAX_WORKERS - 1
 
 
 @pytest.mark.skipif(
@@ -280,7 +301,7 @@ def _run_in_forked_child(block, s, want):
 def test_execution_in_a_forked_child_does_not_hang():
     block = gen_block(WorkloadSpec(n_txs=24, key_universe=6, seed=8))
     s = greedy_level_schedule(block)
-    want = execute_graph_schedule(block, s, EMPTY).state_changes  # warms the parent's pool
+    want = jittered(block, s).outcome().state_changes  # starts the parent's pool threads
     assert executor._POOL._threads > 0
     child = multiprocessing.get_context("fork").Process(
         target=_run_in_forked_child, args=(block, s, want)
@@ -294,17 +315,43 @@ def test_execution_in_a_forked_child_does_not_hang():
     assert child.exitcode == 0
 
 
+class CountingPool(executor._Pool):
+    """A pool that records the job count of every submission."""
+
+    def __init__(self):
+        super().__init__()
+        self.submits = []
+
+    def submit(self, job, count):
+        self.submits.append(count)
+        super().submit(job, count)
+
+
 def fresh_pool(monkeypatch):
-    """Give the test its own empty pool; returns a count of the threads
-    started since, which are that pool's threads once every other thread
-    the test started has been joined."""
+    """Give the test its own empty ``CountingPool``; returns a count of the
+    threads started since, which are that pool's threads once every other
+    thread the test started has been joined."""
     before = set(threading.enumerate())
-    monkeypatch.setattr(executor, "_POOL", executor._Pool())
+    monkeypatch.setattr(executor, "_POOL", CountingPool())
     return lambda: sum(t not in before for t in threading.enumerate())
+
+
+def block_on(monkeypatch, seconds, blocks=lambda tx: True):
+    """Make every transaction that ``blocks`` picks sleep ``seconds`` in its
+    body, so the engine counts it as blocked."""
+    real = executor.run_program
+
+    def run_program(tx, reads):
+        if blocks(tx):
+            time.sleep(seconds)
+        return real(tx, reads)
+
+    monkeypatch.setattr(executor, "run_program", run_program)
 
 
 def test_two_callers_share_one_bounded_pool(monkeypatch):
     pool_threads = fresh_pool(monkeypatch)
+    block_on(monkeypatch, 0.0002)  # so each caller hands the pool its helpers
     cases = []
     for seed in (41, 42):
         block = gen_block(WorkloadSpec(n_txs=40, key_universe=12, seed=seed))
@@ -327,6 +374,7 @@ def test_two_callers_share_one_bounded_pool(monkeypatch):
         }
     # pool threads never exit, so the count now is the most ever alive; each
     # caller ran one slot of its own execution
+    assert executor._POOL.submits == [MAX_WORKERS - 1] * 2
     assert pool_threads() == MAX_WORKERS - 1
 
 
@@ -353,9 +401,10 @@ def test_handle_runs_no_more_workers_than_it_read(monkeypatch):
         return real(tx, reads)
 
     monkeypatch.setattr(executor, "run_program", counted)
-    # gated, first: the fresh pool's new threads take their jobs at once and
-    # park while tx 0 runs, so the slot that commits it must wake all seven;
-    # then on the warm pool the first transaction that blocks must wake them
+    # gated, first: tx 0 blocks, so the caller hands the fresh pool seven
+    # helper jobs; its new threads take them and park until tx 0 commits, so
+    # the slot that commits it must wake all seven; then on the warm pool the
+    # first transaction that blocks must wake them
     for schedule in (gated, s):
         most[0] = 0
         run_bounded(lambda: execute_graph_schedule(block, schedule, EMPTY))
@@ -419,15 +468,19 @@ def test_an_exception_on_the_callers_slot_ends_the_run(monkeypatch):
     monkeypatch.setattr(executor, "_POOL", pool)
     txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(16)]
     block = make_block(txs)
-    # tx 0 gates every other one, so helpers find nothing to run while it runs
-    gated = GraphSchedule(n=16, edges=frozenset((0, v) for v in range(1, 16)))
+    # tx 0 blocks, so the caller hands the pool its helpers, and readies only
+    # tx 1, which gates every other one: helpers find nothing to run while it runs
+    gated = GraphSchedule(n=16, edges=frozenset([(0, 1)] + [(1, v) for v in range(2, 16)]))
     real = executor.run_program
-    caller = []
+    caller, held = [], []
 
     def run_program(tx, reads):
-        if caller and threading.current_thread() is caller[0]:
+        if tx.id == 0:
+            time.sleep(0.001)
+        elif caller and threading.current_thread() is caller[0]:
             caller.clear()  # only the first execution is interrupted
-            pool.release()  # the caller holds tx 0: its helpers can only park
+            held.extend(count for _, count in pool.held)
+            pool.release()  # the caller holds tx 1: its helpers can only park
             time.sleep(0.05)
             raise Interrupt
         return real(tx, reads)
@@ -437,7 +490,6 @@ def test_an_exception_on_the_callers_slot_ends_the_run(monkeypatch):
     def interrupted():
         caller.append(threading.current_thread())
         handle = GraphExecutionHandle(block, gated, EMPTY)
-        handle.start()
         try:
             handle.outcome()
         except Interrupt:
@@ -445,9 +497,44 @@ def test_an_exception_on_the_callers_slot_ends_the_run(monkeypatch):
         raise AssertionError("outcome() returned without the interrupt")
 
     handle_ref = run_bounded(interrupted)
+    assert held == [MAX_WORKERS - 1]  # the interrupt landed while the helpers were parked
     assert collected(handle_ref)  # every helper slot returned and dropped its job
     out = run_bounded(lambda: execute_graph_schedule(block, gated, EMPTY))
     assert out.state_changes == {f"w{i}": i for i in range(16)}
+
+
+def test_a_run_that_never_blocks_hands_the_pool_nothing(monkeypatch):
+    fresh_pool(monkeypatch)
+    pool = executor._POOL
+    txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(32)]
+    block = make_block(txs)
+    s = GraphSchedule(n=32, edges=frozenset())
+    want = {f"w{i}": i for i in range(32)}
+    with monkeypatch.context() as m:
+        # a host stall inside a microsecond transaction must not read as a block
+        m.setattr(executor, "_BLOCKING_NS", 10**9)
+        assert run_bounded(lambda: execute_graph_schedule(block, s, EMPTY)).state_changes == want
+    assert pool.submits == []
+
+    # jitter hands the pool every helper slot once, before the first transaction
+    real = executor.run_program
+    submits_seen = []
+
+    def recorded(tx, reads):
+        submits_seen.append(len(pool.submits))
+        return real(tx, reads)
+
+    with monkeypatch.context() as m:
+        m.setattr(executor, "run_program", recorded)
+        assert run_bounded(jittered(block, s).outcome).state_changes == want
+    assert pool.submits == [min(MAX_WORKERS, 32) - 1]
+    assert submits_seen == [1] * 32
+
+    # the first transaction that blocks hands them over, and no later one again
+    pool.submits.clear()
+    block_on(monkeypatch, 0.002, lambda tx: tx.id == 0)
+    assert run_bounded(lambda: execute_graph_schedule(block, s, EMPTY)).state_changes == want
+    assert pool.submits == [MAX_WORKERS - 1]
 
 
 def test_batch_reader_sees_previous_batch_write():
@@ -641,7 +728,6 @@ def test_trace_intervals_disjoint_for_conflicts():
         handle = GraphExecutionHandle(
             block, s, EMPTY, trace=True, jitter_seed=trial, max_jitter_us=150
         )
-        handle.start()
         handle.outcome()
         intervals = {tx_id: (start, end) for tx_id, start, end in handle.trace}
         for u, v in g.edges:
