@@ -11,25 +11,20 @@ import itertools
 import json
 import sys
 
-from .conflict import build_conflict_graph, dump_edges
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
-from .executor import simulate_execution
 from .model import (
     LENGTH_MODES,
+    RUNNER_NAMES,
     GlobalState,
     read_block_file,
     read_stream_file,
     write_block_file,
     write_stream_file,
 )
-from .replication import (
-    BUILTIN_RUNNERS,
-    BatchPlan,
-    make_runner,
-    plan_block,
-    run_main_loop,
-)
-from .schedule import batch_to_graph, dump_levels, dump_schedule, latency_stats
+
+# Each command imports the pipeline modules it runs, so ``--help``, the
+# generators, ``conflicts``, ``analyze`` and ``oracle`` load neither the
+# executor nor the replication layer.
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -53,7 +48,7 @@ def _load_state(path: str | None) -> GlobalState:
 def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--runner",
-        choices=list(BUILTIN_RUNNERS),
+        choices=list(RUNNER_NAMES),
         default="min-coloring",
         help="schedule synthesis strategy",
     )
@@ -80,14 +75,22 @@ def _comma_list(item_type):
 
 
 def _runner(args):
+    from .replication import make_runner
+
     return make_runner(args.runner, epsilon_cutoff=args.treat_epsilon_homogeneous)
 
 
 def _graph_schedule(plan):
+    from .replication import BatchPlan
+    from .schedule import batch_to_graph
+
     return batch_to_graph(plan.batches) if isinstance(plan, BatchPlan) else plan.schedule
 
 
 def cmd_schedule(args) -> int:
+    from .replication import plan_block
+    from .schedule import dump_levels, dump_schedule, latency_stats
+
     block = read_block_file(args.block_file)
     plan = plan_block(_runner(args), block)
     graph_schedule = _graph_schedule(plan)
@@ -105,6 +108,9 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_execute(args) -> int:
+    from .executor import simulate_execution
+    from .replication import plan_block
+
     block = read_block_file(args.block_file)
     state = _load_state(args.state)
     runner = _runner(args)
@@ -132,6 +138,8 @@ def cmd_execute(args) -> int:
 
 
 def cmd_smr(args) -> int:
+    from .replication import run_main_loop
+
     state = _load_state(args.state)
     blocks = read_stream_file(args.stream_file)
     final = run_main_loop(
@@ -163,6 +171,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_oracle(args) -> int:
     from . import analysis
+    from .schedule import dump_schedule
 
     block = read_block_file(args.block_file)
     # first and under its own smaller cap: it enumerates every order of the block
@@ -176,6 +185,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_conflicts(args) -> int:
+    from .conflict import build_conflict_graph, dump_edges
+
     block = read_block_file(args.block_file)
     g = build_conflict_graph(block)
     print(f"{g.n} {sum(map(len, g.neighbors)) // 2}")

@@ -26,6 +26,11 @@ _I64_HALF = 1 << 63
 # defined here so the CLI can list them without importing the generators.
 LENGTH_MODES = ("homogeneous", "epsilon", "heterogeneous")
 
+# The names of the built-in block runners, in the order of
+# ``replication.BUILTIN_RUNNERS``; here for the same reason: the CLI lists
+# them without importing the replication layer and the executor.
+RUNNER_NAMES = ("order", "greedy", "min-coloring", "weighted-coloring", "batch")
+
 
 # The one canonical JSON form of every digest and ledger payload: compact
 # separators, ASCII escapes, dict keys in insertion order. Every payload is a
@@ -74,6 +79,8 @@ class TxProgram:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ProgramKind):
             raise ValidationError(f"unknown program kind: {self.kind!r}")
+        if type(self.const_value) is not int:
+            raise ValidationError(f"program const_value must be an integer, got {self.const_value!r}")
         object.__setattr__(self, "const_value", wrap_int64(self.const_value))
 
 
@@ -83,7 +90,9 @@ class Transaction:
 
     The read and write sets are over-approximations: every key the program
     may touch in any execution appears in the matching set. ``length`` is an
-    abstract duration in time units, not wall-clock time.
+    abstract duration in time units, not wall-clock time. ``id`` and
+    ``length`` are plain ``int``s (a ``bool`` is not), as the block format
+    requires.
     """
 
     id: int
@@ -93,7 +102,7 @@ class Transaction:
     program: TxProgram
 
     def __post_init__(self) -> None:
-        if self.id < 0 or self.length < 1:
+        if type(self.id) is not int or type(self.length) is not int or self.id < 0 or self.length < 1:
             raise ValidationError(_id_or_length_fault(self.id, self.length))
         object.__setattr__(self, "read_set", frozenset(self.read_set))
         object.__setattr__(self, "write_set", frozenset(self.write_set))
@@ -101,9 +110,13 @@ class Transaction:
             raise ValidationError(_key_fault(self.id))
 
 
-def _id_or_length_fault(tx_id: int, length: int) -> str:
+def _id_or_length_fault(tx_id, length) -> str:
+    if type(tx_id) is not int:
+        return f"transaction id must be an integer, got {tx_id!r}"
     if tx_id < 0:
         return f"transaction id must be non-negative, got {tx_id}"
+    if type(length) is not int:
+        return f"transaction {tx_id}: length must be an integer, got {length!r}"
     return f"transaction {tx_id}: length must be >= 1, got {length}"
 
 
@@ -150,6 +163,8 @@ class Block:
     txs: tuple[Transaction, ...]
 
     def __post_init__(self) -> None:
+        if type(self.seq) is not int:
+            raise ValidationError(f"block seq must be an integer, got {self.seq!r}")
         if self.seq < 0:
             raise ValidationError(f"block seq must be non-negative, got {self.seq}")
         object.__setattr__(self, "txs", tuple(self.txs))

@@ -111,7 +111,8 @@ def _weighted_coloring_step(runner, txs, g):
 
 # Runner name -> (coloring step, levels run as barrier batches). ``order`` has
 # no coloring step: it directs every conflict edge by the block's list order.
-# The CLI's --runner choices come from these keys.
+# ``model.RUNNER_NAMES`` lists these keys, in this order, for the CLI's --runner
+# choices.
 BUILTIN_RUNNERS: dict[str, tuple[Callable | None, bool]] = {
     "order": (None, False),
     "greedy": (_greedy_step, False),

@@ -819,19 +819,75 @@ loaded()
 """
 
 
+def _run_fresh(script: str, *argv) -> list[set[str]]:
+    """Run ``script`` in a fresh interpreter on this package's source; one set
+    of module names per line it prints."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return [set(json.loads(line)) for line in done.stdout.splitlines()]
+
+
 def test_pipeline_commands_import_neither_analysis_nor_workload(tmp_path):
     block, stream = tmp_path / "block.json", tmp_path / "stream.json"
     write_block_file(block, chain_block(3))
     write_stream_file(stream, gen_stream([WorkloadSpec(n_txs=3, seed=i) for i in range(2)]))
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    argv = [block, stream, tmp_path / "ledger.bin", tmp_path / "gen.json"]
-    done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_SURFACE, *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    pipeline, after = (set(json.loads(line)) for line in done.stdout.splitlines())
+    pipeline, after = _run_fresh(_IMPORT_SURFACE, block, stream, tmp_path / "ledger.bin", tmp_path / "gen.json")
     lazy = {"blocksched.analysis", "blocksched.workload"}
     assert not pipeline & lazy
     assert lazy <= after
+
+
+# Imports the package, then the CLI, then runs the commands that execute no
+# block, in one fresh interpreter; prints the loaded modules after each step.
+_LAZY_SURFACE = """
+import contextlib, io, json, sys
+
+def loaded():
+    print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "blocksched")))
+
+import blocksched
+loaded()
+from blocksched.cli import main
+loaded()
+block, out, csv = sys.argv[1:]
+for argv in (
+    ["conflicts", block],
+    ["gen-block", "--out", out],
+    ["analyze", "--ns", "6", "--ps", "0.5", "--samples", "2", "--out", csv],
+    ["oracle", block],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+loaded()
+"""
+
+
+def test_package_and_cli_load_each_pipeline_module_on_first_use(tmp_path):
+    block = tmp_path / "block.json"
+    write_block_file(block, chain_block(3))
+    package, with_cli, after = _run_fresh(_LAZY_SURFACE, block, tmp_path / "gen.json", tmp_path / "study.csv")
+    assert package == {"blocksched"}
+    assert with_cli == {"blocksched", "blocksched.cli", "blocksched.errors", "blocksched.model"}
+    assert not after & {"blocksched.executor", "blocksched.replication"}
+    assert {"blocksched.analysis", "blocksched.conflict", "blocksched.workload"} <= after
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    import importlib
+
+    import blocksched
+    from blocksched import model
+
+    assert sorted(blocksched._EXPORTS) == sorted(blocksched.__all__)
+    assert len(set(blocksched.__all__)) == len(blocksched.__all__)
+    assert set(blocksched.__all__) <= set(dir(blocksched))
+    for name, module in blocksched._EXPORTS.items():
+        assert getattr(blocksched, name) is getattr(importlib.import_module(f"blocksched.{module}"), name)
+    with pytest.raises(AttributeError):
+        blocksched.no_such_name
+    assert model.RUNNER_NAMES == tuple(replication.BUILTIN_RUNNERS)

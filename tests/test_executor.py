@@ -425,7 +425,6 @@ def test_jitter_wakes_the_helpers_at_start(monkeypatch):
     txs = [make_tx(i, writes={f"w{i}"}, kind=ProgramKind.WRITE_CONST, const=i) for i in range(16)]
     block = make_block(txs)
     s = GraphSchedule(n=16, edges=frozenset())
-    run_bounded(lambda: execute_graph_schedule(block, s, EMPTY))  # starts the pool's threads
     real = executor.run_program
     ran_on = set()
 

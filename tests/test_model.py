@@ -435,6 +435,56 @@ def test_program_kind_is_checked():
         TxProgram(kind="nope")  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_tx(False), "transaction id must be an integer, got False"),
+        (lambda: make_tx(1.0), "transaction id must be an integer, got 1.0"),
+        (lambda: make_tx(0, length=True), "transaction 0: length must be an integer, got True"),
+        (lambda: make_tx(0, length=2.5), "transaction 0: length must be an integer, got 2.5"),
+        (lambda: make_tx(0, length="1"), "transaction 0: length must be an integer, got '1'"),
+        (lambda: Block(seq=True, prev_hash=b"", txs=()), "block seq must be an integer, got True"),
+        (lambda: Block(seq=2.0, prev_hash=b"", txs=()), "block seq must be an integer, got 2.0"),
+        (lambda: TxProgram(ProgramKind.WRITE_CONST, 2.5), "program const_value must be an integer, got 2.5"),
+        (lambda: TxProgram(ProgramKind.WRITE_CONST, True), "program const_value must be an integer, got True"),
+    ],
+)
+def test_constructors_reject_what_the_block_format_cannot_hold(build, message):
+    # each of these once built a block whose text its own parser rejected
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(-2, 3), st.integers(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2)
+)
+_KEYS = st.frozensets(st.one_of(st.text(max_size=3), st.integers(0, 2)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seq=_FIELD_VALUES,
+    prev_hash=st.binary(max_size=4),
+    fields=st.lists(
+        st.tuples(_FIELD_VALUES, _KEYS, _KEYS, _FIELD_VALUES, st.sampled_from(ProgramKind), _FIELD_VALUES),
+        max_size=3,
+    ),
+)
+def test_every_block_the_constructors_accept_round_trips_through_text(seq, prev_hash, fields):
+    try:
+        txs = [
+            Transaction(id=tx_id, read_set=reads, write_set=writes, length=length, program=TxProgram(kind, const))
+            for tx_id, reads, writes, length, kind, const in fields
+        ]
+        block = Block(seq=seq, prev_hash=prev_hash, txs=tuple(txs))
+    except ValidationError:
+        return
+    text = block_to_text(block)
+    assert block_from_text(text) == block
+    assert block_to_text(block_from_text(text)) == text
+
+
 # The parser before the one-pass loop, kept as an oracle: every field through
 # ``_require`` / ``_typed`` and every object through the checked constructors.
 def _oracle_require(obj, key, where):
