@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import shlex
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from blocksched import analysis, cli, executor, replication
+import blocksched
+from blocksched import analysis, cli, executor, model, replication
 from blocksched.cli import main
 from blocksched.conflict import build_conflict_graph
 from blocksched.errors import ValidationError
@@ -878,16 +880,11 @@ def test_package_and_cli_load_each_pipeline_module_on_first_use(tmp_path):
 
 
 def test_lazy_exports_resolve_to_their_modules():
-    import importlib
-
-    import blocksched
-    from blocksched import model
-
     assert sorted(blocksched._EXPORTS) == sorted(blocksched.__all__)
     assert len(set(blocksched.__all__)) == len(blocksched.__all__)
     assert set(blocksched.__all__) <= set(dir(blocksched))
     for name, module in blocksched._EXPORTS.items():
         assert getattr(blocksched, name) is getattr(importlib.import_module(f"blocksched.{module}"), name)
     with pytest.raises(AttributeError):
-        blocksched.no_such_name
+        getattr(blocksched, "no_such_name")
     assert model.RUNNER_NAMES == tuple(replication.BUILTIN_RUNNERS)

@@ -456,10 +456,10 @@ def test_constructors_reject_what_the_block_format_cannot_hold(build, message):
     assert str(info.value) == message
 
 
-_FIELD_VALUES = st.one_of(
-    st.integers(-2, 3), st.integers(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2)
-)
-_KEYS = st.frozensets(st.one_of(st.text(max_size=3), st.integers(0, 2)), max_size=3)
+# about one field value in eight is odd, so that most drawn blocks get built
+_ODD_FIELD_VALUES = st.one_of(st.integers(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2))
+_FIELD_VALUES = st.integers(0, 7).flatmap(lambda i: _ODD_FIELD_VALUES if i == 7 else st.integers(0, 3))
+_KEYS = st.frozensets(st.text(min_size=1, max_size=2), max_size=3)
 
 
 @settings(max_examples=300, deadline=None)
