@@ -42,6 +42,8 @@ def _load_state(path: str | None) -> GlobalState:
             raise ParseError(f"state file: invalid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
         raise ParseError("state file must be a JSON object mapping keys to integers")
+    if "" in raw:  # no block can name it, yet it would enter every digest
+        raise ParseError("state file keys must be non-empty strings")
     return GlobalState(raw)
 
 

@@ -298,6 +298,16 @@ def test_execute_rejects_non_integer_state_values(chain_file, tmp_path, capsys, 
     assert err == "error: state file must be a JSON object mapping keys to integers\n"
 
 
+def test_execute_rejects_an_empty_state_key(chain_file, tmp_path, capsys):
+    # no block can name the key "", yet it would enter every state digest
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps({"": 5, "a": 1}))
+    code, out, err = run_cli(capsys, "execute", chain_file, "--state", str(spath))
+    assert code == 2
+    assert out == ""
+    assert err == "error: state file keys must be non-empty strings\n"
+
+
 def test_execute_rejects_a_state_file_that_is_not_json(chain_file, tmp_path, capsys):
     spath = tmp_path / "state.json"
     spath.write_text("{not json")

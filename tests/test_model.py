@@ -1,9 +1,11 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import json
 import pickle
 import random
+import tracemalloc
 from collections.abc import Mapping
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from blocksched.errors import ParseError, ValidationError
 from blocksched.model import (
+    _DIGEST_CHUNK,
     Block,
     GlobalState,
     ProgramKind,
@@ -229,6 +232,35 @@ def test_state_digests_are_golden():
     assert child.digest() == "8f33a626b3dbb09a85aa16dd748107bebebc57a1036d5226f0be25c7f0aee2ac"
 
 
+@pytest.mark.parametrize("n", [0, 1, _DIGEST_CHUNK - 1, _DIGEST_CHUNK, _DIGEST_CHUNK + 1,
+                               2 * _DIGEST_CHUNK, 2 * _DIGEST_CHUNK + 1])
+def test_streamed_digest_equals_the_oracle_at_every_chunk_boundary(n):
+    # keys of escaped, control and astral characters, drawn in no key order
+    keys = random.Random(n).sample(["".join(p) for p in itertools.product(KEY_CHARS, repeat=3)], n)
+    values = itertools.cycle(v for v in INT64_EDGES if wrap_int64(v))
+    entries = {key: wrap_int64(next(values)) for key in keys}
+    state = GlobalState(entries)
+    assert len(state.items()) == n
+    assert state.digest() == oracle_digest(entries)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_digest_does_not_build_the_whole_payload():
+    # the one-shot formula holds every entry's tuple and the whole JSON text
+    state = GlobalState(big_state_entries(1))
+    one_shot = _traced_peak(lambda: hashlib.sha256(canonical_json(state.items()).encode()).hexdigest())
+    streamed = _traced_peak(state.digest)
+    assert streamed < one_shot / 8
+
+
 JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -430,6 +462,13 @@ def test_block_rejects_negative_seq():
         Block(seq=-1, prev_hash=b"", txs=())
 
 
+def test_block_takes_a_bytearray_prev_hash_as_bytes():
+    block = Block(seq=0, prev_hash=bytearray(b"\x01\xff"), txs=[make_tx(0)])
+    assert type(block.prev_hash) is bytes and block.prev_hash == b"\x01\xff"
+    assert type(block.txs) is tuple
+    assert block_from_text(block_to_text(block)) == block
+
+
 def test_program_kind_is_checked():
     with pytest.raises(ValidationError):
         TxProgram(kind="nope")  # type: ignore[arg-type]
@@ -445,6 +484,13 @@ def test_program_kind_is_checked():
         (lambda: make_tx(0, length="1"), "transaction 0: length must be an integer, got '1'"),
         (lambda: Block(seq=True, prev_hash=b"", txs=()), "block seq must be an integer, got True"),
         (lambda: Block(seq=2.0, prev_hash=b"", txs=()), "block seq must be an integer, got 2.0"),
+        (lambda: Block(seq=0, prev_hash=3, txs=()), "block prev_hash must be bytes, got 3"),
+        (lambda: Block(seq=0, prev_hash="ab", txs=()), "block prev_hash must be bytes, got 'ab'"),
+        (lambda: Block(seq=0, prev_hash=b"", txs=(1,)), "block txs[0] must be a Transaction, got 1"),
+        (
+            lambda: Block(seq=0, prev_hash=b"", txs=[make_tx(0), {"id": 1}]),
+            "block txs[1] must be a Transaction, got {'id': 1}",
+        ),
         (lambda: TxProgram(ProgramKind.WRITE_CONST, 2.5), "program const_value must be an integer, got 2.5"),
         (lambda: TxProgram(ProgramKind.WRITE_CONST, True), "program const_value must be an integer, got True"),
     ],
