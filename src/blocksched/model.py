@@ -46,13 +46,12 @@ def canonical_json(obj) -> str:
     return _CANONICAL.encode(obj)
 
 
-# ``GlobalState.digest`` encodes the entries this many at a time. Each chunk
-# is a list of fresh ``(key, value)`` tuples, and two chunks are alive at once
-# (the one being encoded and the one being built). Kept well below CPython's
-# free list of 2 000 two-tuples, the tuples of one chunk are reused by the
-# next instead of being allocated, so a digest of a 20 000-key state sets off
-# almost no cyclic-GC collection (0.05 per digest at 512, 1.15 at 1 500, 25 for
-# a one-shot encoding) and holds one chunk's text, not the whole payload.
+# ``GlobalState.digest`` encodes the entries this many at a time. Two chunks
+# of fresh ``(key, value)`` tuples are alive at once, the one being encoded
+# and the one being built. Well below CPython's free list of 2 000 two-tuples,
+# each chunk reuses the tuples of the one before instead of allocating new
+# GC-tracked objects: a digest of a 20 008-key state then sets off 0.05
+# collections, against 1.15 at 1 500, 9.15 at 3 000 and 25 for all at once.
 _DIGEST_CHUNK = 512
 
 
@@ -222,12 +221,12 @@ class GlobalState:
     ``digest()`` is the sha256 hex digest of ``canonical_json(self.items())``:
     the compact ASCII JSON list of ``[key, value]`` pairs, ascending by key,
     zero values dropped, e.g. ``[["a",1],["b",-2]]``; ``[]`` for the empty
-    state. It streams those bytes into the hash instead of building them:
-    the entries are encoded ``_DIGEST_CHUNK`` at a time and the chunk texts
-    are joined by ``,`` inside one pair of brackets. The chunk is small so
-    that its tuples are recycled through CPython's tuple free list, and a
-    large state's digest neither builds a list of every entry nor sets off
-    cyclic-GC collections.
+    state. It streams exactly those bytes into sha256: ``_DIGEST_CHUNK``
+    entries are encoded at a time and the chunk texts joined by ``,`` inside
+    one pair of brackets. The chunk is small so that a large state's digest
+    builds neither a list of every entry nor the whole payload, and reuses
+    its tuples through CPython's free list instead of setting off cyclic-GC
+    collections.
     """
 
     __slots__ = ("_entries",)
