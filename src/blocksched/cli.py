@@ -40,11 +40,16 @@ def _load_state(path: str | None) -> GlobalState:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"state file: invalid JSON: {exc.msg}") from exc
-    if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
-        raise ParseError("state file must be a JSON object mapping keys to integers")
-    if "" in raw:  # no block can name it, yet it would enter every digest
-        raise ParseError("state file keys must be non-empty strings")
-    return GlobalState(raw)
+    not_a_state = "state file must be a JSON object mapping keys to integers"
+    if not isinstance(raw, dict):
+        raise ParseError(not_a_state)
+    try:
+        return GlobalState(raw)
+    except ValidationError as exc:
+        # a JSON key is a string, so the fault is a value or the key ""
+        if all(type(v) is int for v in raw.values()):
+            raise ParseError("state file keys must be non-empty strings") from exc
+        raise ParseError(not_a_state) from exc
 
 
 def _add_runner_flags(parser: argparse.ArgumentParser) -> None:

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-from .model import Block, Transaction, validate_block
+from .model import Block, Transaction, _gc_paused, validate_block
 
 
 @dataclass(frozen=True, init=False)
@@ -86,6 +86,7 @@ def conflicts(tx1: Transaction, tx2: Transaction) -> bool:
     )
 
 
+@_gc_paused
 def build_conflict_graph(block: Block) -> ConflictGraph:
     """Conflict graph of a block; independent of the transaction list order."""
     problems = validate_block(block)

@@ -8,6 +8,8 @@ reads as 0, which makes any block executable against an empty state.
 
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -53,6 +55,33 @@ def canonical_json(obj) -> str:
 # GC-tracked objects: a digest of a 20 008-key state then sets off 0.05
 # collections, against 1.15 at 1 500, 9.15 at 3 000 and 25 for all at once.
 _DIGEST_CHUNK = 512
+
+
+def _gc_paused(fn):
+    """Run ``fn`` with CPython's cyclic garbage collector paused.
+
+    For the planning calls that build many GC-tracked but acyclic containers
+    (the parse, the conflict build, a runner's schedule): reference counting
+    frees all of them, so every collection that walks them is wasted work,
+    and each young collection promotes the survivors towards the full ones.
+    The pause restores the caller's state: GC is enabled again afterwards,
+    also when ``fn`` raises, only if it was enabled before. Never wrap a
+    generator with it, or GC stays off across its yields. With several
+    threads a pause can overlap another thread's; that changes only when
+    collections run, never what they free.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def stable_seed(*parts) -> int:
@@ -192,6 +221,16 @@ class Block:
         return len(self.txs)
 
 
+def _trusted_block(seq: int, prev_hash: bytes, txs: tuple[Transaction, ...]) -> Block:
+    """A ``Block`` from fields the caller has already checked, built without
+    ``__init__`` and its ``__post_init__`` re-checks."""
+    block = object.__new__(Block)
+    object.__setattr__(block, "seq", seq)
+    object.__setattr__(block, "prev_hash", prev_hash)
+    object.__setattr__(block, "txs", txs)
+    return block
+
+
 def validate_block(block: Block) -> list[str]:
     """Return a list of semantic problems; empty means processable.
 
@@ -210,6 +249,10 @@ def validate_block(block: Block) -> list[str]:
 
 class GlobalState:
     """Immutable map from object keys to int64 values; absent keys read as 0.
+
+    The constructor takes what a state file or a block can hold: non-empty
+    string keys and ``int`` values (a ``bool`` is not one); anything else
+    raises ``ValidationError``.
 
     Entries with value 0 are normalized away so states that differ only in
     explicit zeros compare and digest identically. The entries are kept in
@@ -233,8 +276,16 @@ class GlobalState:
 
     def __init__(self, entries: Mapping[ObjectKey, int] | None = None) -> None:
         entries = entries or {}
+        # the keys are checked before the sort, which mixed key types would
+        # break, and each value in the one pass after it; that pass runs once
+        # per entry of a state file, so it inlines wrap_int64
+        if not all(map(isinstance, entries, repeat(str))) or "" in entries:
+            raise ValidationError(_state_key_fault(entries))
         self._entries: dict[ObjectKey, int] = {
-            k: w for k in sorted(entries) if (w := wrap_int64(entries[k])) != 0
+            k: w
+            for k in sorted(entries)
+            if (type(v := entries[k]) is int or _reject_state_value(k, v))
+            and (w := (v + _I64_HALF) % _I64_SPAN - _I64_HALF)
         }
 
     def get(self, key: ObjectKey) -> int:
@@ -278,6 +329,15 @@ class GlobalState:
 
     def __repr__(self) -> str:
         return f"GlobalState({self._entries!r})"
+
+
+def _state_key_fault(entries) -> str:
+    key = next(k for k in entries if not isinstance(k, str) or not k)
+    return f"state keys must be non-empty strings, got {key!r}"
+
+
+def _reject_state_value(key, value):
+    raise ValidationError(f"state value of {key!r} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -373,8 +433,9 @@ def block_from_obj(obj: Mapping) -> Block:
     per transaction: ``program`` and its ``kind``; ``id``, ``reads``,
     ``writes``, ``length`` and ``const``, each present and of its JSON type;
     hashable keys; ``id >= 0``; ``length >= 1``; and last the keys, each
-    distinct key of the block once. The transactions are then built without
-    re-running the ``Transaction`` checks, and equal programs are shared
+    distinct key of the block once; after the transactions, ``seq >= 0``.
+    The transactions and the block are built without re-running the
+    ``Transaction`` and ``Block`` checks, and equal programs are shared
     within the block.
     """
     where = "block"
@@ -383,7 +444,7 @@ def block_from_obj(obj: Mapping) -> Block:
     seq = _require(obj, "seq", where)
     prev_hex = _require(obj, "prev_hash", where)
     raw_txs = _require(obj, "txs", where)
-    if not isinstance(seq, int) or isinstance(seq, bool):
+    if type(seq) is not int:
         raise ParseError(f"{where}: seq must be an integer")
     try:
         prev_hash = bytes.fromhex(prev_hex)
@@ -434,12 +495,12 @@ def block_from_obj(obj: Mapping) -> Block:
         if program is None:
             program = programs[kind, const] = TxProgram(_KINDS[kind], const)
         txs.append(_trusted_transaction(tx_id, read_set, write_set, length, program))
-    try:
-        return Block(seq=seq, prev_hash=prev_hash, txs=tuple(txs))
-    except ValidationError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    if seq < 0:
+        raise ParseError(f"{where}: block seq must be non-negative, got {seq}")
+    return _trusted_block(seq, prev_hash, tuple(txs))
 
 
+@_gc_paused
 def block_from_text(text: str) -> Block:
     try:
         obj = json.loads(text)

@@ -33,7 +33,16 @@ from .coloring import (
 from .conflict import ConflictGraph, build_conflict_graph
 from .errors import CapacityError, InvariantError, ParseError, ValidationError
 from .executor import BatchExecutionHandle, GraphExecutionHandle
-from .model import Block, GlobalState, Transaction, TxResult, block_hash, canonical_json, validate_block
+from .model import (
+    Block,
+    GlobalState,
+    Transaction,
+    TxResult,
+    _gc_paused,
+    block_hash,
+    canonical_json,
+    validate_block,
+)
 from .schedule import (
     UNORDERED_CONFLICT,
     BatchSchedule,
@@ -146,6 +155,7 @@ class BlockRunner:
             if self.epsilon_cutoff < 0:
                 raise ValidationError(f"epsilon cutoff must be >= 0, got {self.epsilon_cutoff}")
 
+    @_gc_paused
     def make_schedule(
         self, txs: Sequence[Transaction], constraints: ConflictGraph
     ) -> GraphPlan | BatchPlan:

@@ -308,6 +308,16 @@ def test_execute_rejects_an_empty_state_key(chain_file, tmp_path, capsys):
     assert err == "error: state file keys must be non-empty strings\n"
 
 
+@pytest.mark.parametrize("raw", [{"": 1.5}, {"a": 1, "": None}, [["a", 1]], 5])
+def test_execute_reports_a_state_file_that_is_not_an_integer_map_first(chain_file, tmp_path, capsys, raw):
+    spath = tmp_path / "state.json"
+    spath.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "execute", chain_file, "--state", str(spath))
+    assert code == 2
+    assert out == ""
+    assert err == "error: state file must be a JSON object mapping keys to integers\n"
+
+
 def test_execute_rejects_a_state_file_that_is_not_json(chain_file, tmp_path, capsys):
     spath = tmp_path / "state.json"
     spath.write_text("{not json")

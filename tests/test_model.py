@@ -131,6 +131,25 @@ def test_global_state_normalizes_zeros():
     assert changed == GlobalState({"y": 2})
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"": 5}, "state keys must be non-empty strings, got ''"),
+        ({1: 5}, "state keys must be non-empty strings, got 1"),
+        ({1: 5, "a": 2}, "state keys must be non-empty strings, got 1"),
+        ({"a": 1.5}, "state value of 'a' must be an integer, got 1.5"),
+        ({"a": 0.0}, "state value of 'a' must be an integer, got 0.0"),
+        ({"a": True}, "state value of 'a' must be an integer, got True"),
+        ({"b": 1, "a": "2"}, "state value of 'a' must be an integer, got '2'"),
+    ],
+)
+def test_global_state_rejects_what_no_state_file_or_block_can_hold(entries, message):
+    # each was once kept, dropped, stored as another value or sorted into a TypeError
+    with pytest.raises(ValidationError) as info:
+        GlobalState(entries)
+    assert str(info.value) == message
+
+
 def test_with_changes_drops_zeros_wraps_and_keeps_parent():
     parent = GlobalState({"a": 1, "b": 2, "c": 3})
     parent_digest = parent.digest()
@@ -460,6 +479,20 @@ def test_parse_rejects_wrong_field_types(text, message):
 def test_block_rejects_negative_seq():
     with pytest.raises(ValidationError):
         Block(seq=-1, prev_hash=b"", txs=())
+
+
+def test_parse_builds_the_block_without_its_constructor_checks(monkeypatch):
+    block = gen_block(WorkloadSpec(n_txs=20, key_universe=8, seed=4), seq=3, prev_hash=b"\x07")
+    text = block_to_text(block)
+
+    def refuse(self):
+        raise AssertionError("the parser re-ran the Block checks")
+
+    monkeypatch.setattr(Block, "__post_init__", refuse)
+    parsed = block_from_text(text)
+    assert (parsed.seq, parsed.prev_hash, parsed.txs) == (block.seq, block.prev_hash, block.txs)
+    assert type(parsed.prev_hash) is bytes and type(parsed.txs) is tuple
+    assert block_to_text(parsed) == text
 
 
 def test_block_takes_a_bytearray_prev_hash_as_bytes():

@@ -1,3 +1,4 @@
+import gc
 import json
 import threading
 from collections import Counter
@@ -5,12 +6,12 @@ from dataclasses import asdict
 
 import pytest
 
-from blocksched import replication
+from blocksched import conflict, model, replication
 from blocksched.coloring import EXACT_COLORING_CAP, EXACT_WEIGHTED_CAP
 from blocksched.conflict import build_conflict_graph
-from blocksched.errors import InvariantError, ParseError, ValidationError
+from blocksched.errors import CapacityError, InvariantError, ParseError, ValidationError
 from blocksched.executor import MAX_WORKERS, execute_sequential, simulate_execution
-from blocksched.model import Block, GlobalState, block_hash
+from blocksched.model import Block, GlobalState, block_from_text, block_hash, block_to_text
 from blocksched.replication import (
     BUILTIN_RUNNERS,
     BatchPlan,
@@ -601,3 +602,100 @@ def test_runners_call_the_traced_module_globals(monkeypatch, tmp_path, name, opt
     run_main_loop(make_runner(name, **kwargs), blocks, EMPTY, tmp_path / "ledger")
     assert set(calls) == reached | {"build_conflict_graph", "block_hash"}
     assert all(count == len(blocks) for count in calls.values()), calls
+
+
+# ---------------------------------------------------------------------------
+# The three planning calls that pause cyclic GC: block_from_text,
+# build_conflict_graph and BlockRunner.make_schedule.
+# ---------------------------------------------------------------------------
+
+def _record_gc_state(monkeypatch, owner, name, seen):
+    """Make ``owner.name`` note whether GC is enabled each time it runs."""
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+
+
+def _parse(monkeypatch, seen):
+    _record_gc_state(monkeypatch, model, "block_from_obj", seen)
+    block = gen_block(WorkloadSpec(n_txs=30, key_universe=10, seed=5))
+    assert block_from_text(block_to_text(block)) == block
+
+
+def _parse_bad_json(monkeypatch, seen):
+    with pytest.raises(ParseError):
+        block_from_text('{"seq": 0,')
+
+
+def _build_with_duplicate_ids(monkeypatch, seen):
+    _record_gc_state(monkeypatch, conflict, "validate_block", seen)
+    with pytest.raises(ValidationError, match="duplicate transaction ids"):
+        build_conflict_graph(make_block([make_tx(0), make_tx(0)]))
+
+
+def _min_coloring_fallback(monkeypatch, seen):
+    def over_budget(g):
+        seen.append(gc.isenabled())
+        raise CapacityError("over the search budget")
+
+    monkeypatch.setattr(replication, "exact_min_coloring", over_budget)
+    _record_gc_state(monkeypatch, replication, "greedy_coloring", seen)
+    block = chain_block(6)
+    plan = make_runner("min-coloring").make_schedule(block.txs, build_conflict_graph(block))
+    assert (plan.coloring_mode, plan.exact) == ("exact", False)
+
+
+@pytest.mark.parametrize(
+    "call", [_parse, _parse_bad_json, _build_with_duplicate_ids, _min_coloring_fallback]
+)
+def test_paused_calls_run_without_gc_and_enable_it_again(monkeypatch, call):
+    assert gc.isenabled()
+    seen = []
+    call(monkeypatch, seen)
+    assert seen == [False] * len(seen)
+    assert gc.isenabled()
+
+
+def test_paused_calls_leave_gc_disabled_for_a_caller_that_disabled_it():
+    block = gen_block(WorkloadSpec(n_txs=30, key_universe=10, seed=5))
+    gc.disable()
+    try:
+        parsed = block_from_text(block_to_text(block))
+        assert not gc.isenabled()
+        with pytest.raises(ParseError):
+            block_from_text("{")
+        assert not gc.isenabled()
+        g = build_conflict_graph(parsed)
+        assert not gc.isenabled()
+        with pytest.raises(ValidationError):
+            build_conflict_graph(make_block([make_tx(0), make_tx(0)]))
+        assert not gc.isenabled()
+        for name in RUNNER_NAMES:
+            make_runner(name).make_schedule(parsed.txs, g)
+            assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_parsing_a_large_block_starts_no_collection():
+    # 2 000 transactions allocate enough containers to set off about 20
+    # young collections when GC runs during the parse
+    text = block_to_text(gen_block(WorkloadSpec(n_txs=2000, key_universe=2000, seed=1)))
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(note)
+    try:
+        block = block_from_text(text)
+    finally:
+        gc.callbacks.remove(note)
+    assert len(block) == 2000
+    assert starts == []
