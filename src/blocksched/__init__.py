@@ -63,6 +63,7 @@ _EXPORTS = {
     }.items()
     for name in names
 }
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
@@ -77,48 +78,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-__all__ = [
-    "Block",
-    "BlockRunner",
-    "BlockSchedError",
-    "BatchSchedule",
-    "CapacityError",
-    "Coloring",
-    "ConflictGraph",
-    "ExecutionOutcome",
-    "GlobalState",
-    "GraphSchedule",
-    "InvariantError",
-    "ParseError",
-    "ProgramKind",
-    "Transaction",
-    "TxProgram",
-    "TxResult",
-    "ValidationError",
-    "batch_latency",
-    "batch_to_graph",
-    "build_conflict_graph",
-    "conflicts",
-    "convert_to_coloring",
-    "descending_degree_order",
-    "exact_min_coloring",
-    "exact_min_weighted_coloring",
-    "execute_batch_schedule",
-    "execute_graph_schedule",
-    "execute_sequential",
-    "greedy_coloring",
-    "is_valid_schedule",
-    "latency",
-    "latency_stats",
-    "level_schedule",
-    "make_runner",
-    "process_block",
-    "reorder_partition",
-    "run_main_loop",
-    "run_program",
-    "simulate_execution",
-    "size_descending_color_order",
-    "stress_determinism",
-    "total_order_schedule",
-]

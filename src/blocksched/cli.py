@@ -40,6 +40,8 @@ def _load_state(path: str | None) -> GlobalState:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"state file: invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:
+            raise ParseError("state file: invalid JSON: nested too deeply") from exc
     not_a_state = "state file must be a JSON object mapping keys to integers"
     if not isinstance(raw, dict):
         raise ParseError(not_a_state)

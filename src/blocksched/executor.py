@@ -8,10 +8,13 @@ reads the latest committed value of each read-set key, runs the program,
 then under the engine's lock commits its writes, records its result and
 decrements its successors' counts, queueing each that reaches zero. Batch
 execution is the same engine without edges and with one barrier: the next
-batch opens when the current one has no unfinished transaction, skipping an
-empty one, and the run ends when none is left. Validity of the schedule
-(every conflicting pair path-ordered; ``schedule.UNORDERED_CONFLICT`` if not)
-is checked once, before a handle is built, and is the sole safety premise: no
+batch opens when the current one has no unfinished transaction, and the run
+ends when none is left. A handle checks the shape of what it is given when
+it is built: a graph schedule must have one vertex per transaction, and a
+batch list must pass ``schedule.check_partition`` over an edgeless graph of
+the block's size, so no batch is empty. Validity of the schedule (every
+conflicting pair path-ordered; ``schedule.UNORDERED_CONFLICT`` if not) is
+checked once, before a handle is built, and is the sole safety premise: no
 two conflicting transactions ever overlap, so writes go to one overlay dict
 over the input state and need nothing beyond atomic per-key publication.
 
@@ -60,14 +63,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .conflict import build_conflict_graph
+from .conflict import ConflictGraph, build_conflict_graph
 from .errors import InvariantError, ValidationError
 from .model import Block, GlobalState, Transaction, TxResult, run_program, stable_seed
 from .schedule import (
     UNORDERED_CONFLICT,
     BatchSchedule,
     GraphSchedule,
-    check_members,
     check_partition,
     is_valid_schedule,
     latency,
@@ -145,9 +147,8 @@ class ExecutionOutcome:
         return {r.tx_id: r for r in self.results}
 
 
-def _sleep_jitter(rng: random.Random | None, max_jitter_us: int) -> None:
-    if rng is not None:
-        time.sleep(rng.uniform(0, max_jitter_us) / 1_000_000)
+def _sleep_jitter(rng: random.Random, max_jitter_us: int) -> None:
+    time.sleep(rng.uniform(0, max_jitter_us) / 1_000_000)
 
 
 def execute_sequential(block: Block, order: Sequence[int], state: GlobalState) -> ExecutionOutcome:
@@ -185,9 +186,11 @@ class GraphExecutionHandle:
     emission order with the merged state changes. With ``trace=True``,
     :attr:`trace` holds each transaction's ``(tx_id, start_ns, end_ns)`` once
     :meth:`outcome` has returned. A negative ``max_jitter_us`` raises
-    ``ValidationError``; 0 means no jitter. The handle does not validate the
-    schedule: :func:`execute_graph_schedule`, :func:`stress_determinism` and
-    ``replication.plan_block`` check it before building one.
+    ``ValidationError``; 0 means no jitter. A schedule whose size is not the
+    block's raises ``ValidationError``. The handle does not check the
+    schedule's validity: :func:`execute_graph_schedule`,
+    :func:`stress_determinism` and ``replication.plan_block`` check it before
+    building one.
     """
 
     def __init__(
@@ -202,6 +205,9 @@ class GraphExecutionHandle:
     ) -> None:
         if max_jitter_us < 0:
             raise ValidationError(f"max_jitter_us must be >= 0, got {max_jitter_us}")
+        n = len(block.txs)
+        if schedule.n != n:
+            raise ValidationError(f"schedule has {schedule.n} vertices, block has {n} transactions")
         self._txs = {tx.id: tx for tx in block.txs}
         self._state = state
         self._succs = schedule.succs
@@ -217,7 +223,7 @@ class GraphExecutionHandle:
         self._started = False
         self._lock = threading.Lock()
         self._work_cv = threading.Condition(self._lock)
-        self._worker_count = min(MAX_WORKERS, len(block.txs))
+        self._worker_count = min(MAX_WORKERS, n)
         self._asleep = self._worker_count > 1  # helper slots not handed to the pool yet
         self._jitter_seed = jitter_seed if max_jitter_us > 0 else None
         self._max_jitter_us = max_jitter_us
@@ -262,9 +268,9 @@ class GraphExecutionHandle:
             self._wake_helpers()
         if rng is not None:
             _sleep_jitter(rng, self._max_jitter_us)
-        self._commit(TxResult(tx_id=tx.id, read_values=reads, written_values=written), t0, rng)
+        self._commit(TxResult(tx_id=tx.id, read_values=reads, written_values=written), t0)
 
-    def _commit(self, result: TxResult, t0: int, rng: random.Random | None) -> None:
+    def _commit(self, result: TxResult, t0: int) -> None:
         """Publish the writes, then emit the result and release the successors."""
         with self._lock:
             self._overlay.update(result.written_values)
@@ -292,21 +298,20 @@ class GraphExecutionHandle:
             self._work_cv.notify(readied - 1)
 
     def _open_next_batch(self) -> int:
-        """Queue the ready transactions of the next non-empty batch; returns
-        their number. With no batch left, wakes every slot to return."""
-        while self._batch + 1 < len(self._batches):
-            self._batch += 1
-            batch = self._batches[self._batch]
-            if batch:
-                self._open = len(batch)
-                readied = 0
-                for v in batch:
-                    if self._unmet[v] == 0:
-                        heapq.heappush(self._ready, v)
-                        readied += 1
-                return readied
-        self._work_cv.notify_all()
-        return 0
+        """Queue the ready transactions of the next batch; returns their
+        number. With no batch left, wakes every slot to return."""
+        self._batch += 1
+        if self._batch == len(self._batches):
+            self._work_cv.notify_all()
+            return 0
+        batch = self._batches[self._batch]
+        self._open = len(batch)
+        readied = 0
+        for v in batch:
+            if self._unmet[v] == 0:
+                heapq.heappush(self._ready, v)
+                readied += 1
+        return readied
 
     def _wake_helpers(self) -> None:
         """Hand the pool ``min(MAX_WORKERS, n) - 1`` helper slots, once, from
@@ -349,15 +354,16 @@ class BatchExecutionHandle(GraphExecutionHandle):
     once the previous one has finished, so every transaction reads the state
     committed by the prior batches.
 
-    Building one counts the batches' members against the block's ids
-    (``schedule.check_members``): a repeated, out-of-range or missing id
-    raises ``ValidationError``; an empty batch is skipped. Conflicts inside a
-    batch are the caller's check, as for a graph schedule.
+    Building one checks the batches with ``schedule.check_partition`` over
+    an edgeless graph of the block's size, as ``batch_to_graph`` does over
+    the list's own: an empty batch or a repeated, out-of-range or missing id
+    raises its ``ValidationError``. Conflicts inside a batch are the
+    caller's check, as for a graph schedule.
     """
 
     def __init__(self, block: Block, batches: BatchSchedule, state: GlobalState, **options) -> None:
         n = len(block.txs)
-        check_members(batches.batches, n)
+        check_partition(batches.batches, ConflictGraph(n, ()))
         super().__init__(block, GraphSchedule._of_preds([()] * n, range(n)), state, **options)
         self._batches = batches.batches
 

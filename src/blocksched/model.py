@@ -506,6 +506,8 @@ def block_from_text(text: str) -> Block:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     return block_from_obj(obj)
 
 

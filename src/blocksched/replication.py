@@ -348,7 +348,7 @@ class Ledger:
                         prev, obj["seq"], obj["block_hash"], obj["results_digest"], obj["state_digest"]
                     )
                     stored = obj["record_digest"]
-                except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+                except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, RecursionError) as exc:
                     raise ParseError(f"ledger record {index}: malformed payload") from exc
                 if record.record_digest != stored:
                     raise ParseError(f"ledger record {index}: digest chain broken")

@@ -235,49 +235,27 @@ def check_partition(
     the empty level, the out-of-range or repeated vertex, the conflicting
     pair, or the missing cover."""
     levels = tuple(tuple(sorted(level)) for level in partition)
-    rows = g.neighbors
-    level_of = [-1] * g.n
+    n, rows = g.n, g.neighbors
+    level_of = [-1] * n
     level_at = level_of.__getitem__
     for i, level in enumerate(levels):
         if not level:
             raise ValidationError(f"level {i} is empty")
-        _place(level_of, i, level)
+        for v in level:
+            if not 0 <= v < n:
+                raise ValidationError(f"level {i}: vertex {v} out of range")
+            if level_of[v] >= 0:
+                raise ValidationError(f"vertex {v} appears in more than one level")
+            level_of[v] = i
         for u in level:
             # u ascending: a clash with a lower id was already reported at it,
             # so any neighbour of u in the level has a higher id
             if i in map(level_at, rows[u]):
                 v = next(v for v in rows[u] if level_of[v] == i)
                 raise ValidationError(f"level {i} is not conflict-free: pair ({u}, {v}) conflicts")
-    _check_cover(levels, g.n)
-    return levels, level_of
-
-
-def check_members(partition: Sequence[Sequence[int]], n: int) -> None:
-    """``check_partition``'s vertex checks alone, with its texts: every id
-    0..n-1 in exactly one level. An empty level is allowed; the batch engine
-    skips it."""
-    level_of = [-1] * n
-    for i, level in enumerate(partition):
-        _place(level_of, i, level)
-    _check_cover(partition, n)
-
-
-def _place(level_of: list[int], i: int, level: Sequence[int]) -> None:
-    """Record ``level``'s vertices as level ``i``; raises ``ValidationError``
-    for one out of range or already placed."""
-    n = len(level_of)
-    for v in level:
-        if not 0 <= v < n:
-            raise ValidationError(f"level {i}: vertex {v} out of range")
-        if level_of[v] >= 0:
-            raise ValidationError(f"vertex {v} appears in more than one level")
-        level_of[v] = i
-
-
-def _check_cover(partition: Sequence[Sequence[int]], n: int) -> None:
-    """After ``_place`` accepted every level: raise unless they hold n ids."""
-    if sum(map(len, partition)) != n:
+    if sum(map(len, levels)) != n:
         raise ValidationError("partition does not cover all vertices")
+    return levels, level_of
 
 
 def level_schedule(partition: Sequence[Sequence[int]], g: ConflictGraph) -> GraphSchedule:
@@ -330,8 +308,9 @@ def batch_to_graph(b: BatchSchedule) -> GraphSchedule:
 
 
 def batch_latency(b: BatchSchedule, lengths: Mapping[int, int]) -> int:
-    """Sum over batches of the longest member length; an empty batch, which
-    the engine runs as a no-op, counts 0."""
+    """Sum over batches of the longest member length. The list is not
+    checked: an empty batch, which ``check_partition`` and so every planner
+    and engine handle refuses, counts 0."""
     return sum(max((lengths[v] for v in batch), default=0) for batch in b.batches)
 
 

@@ -14,7 +14,7 @@ import time
 
 from blocksched import executor
 from blocksched.conflict import ConflictGraph
-from blocksched.model import Block, ProgramKind, Transaction, TxProgram, TxResult
+from blocksched.model import Block, ProgramKind, Transaction, TxProgram, TxResult, stable_seed
 from blocksched.replication import BlockRunner
 from blocksched.schedule import GraphSchedule
 
@@ -207,11 +207,13 @@ class EarlyReleaseHandle(executor.GraphExecutionHandle):
     """The determinism suite's negative control: successors are released
     before the writes are committed, so they can observe stale state."""
 
-    def _commit(self, result: TxResult, t0: int, rng: random.Random | None) -> None:
+    def _commit(self, result: TxResult, t0: int) -> None:
         with self._lock:
             self._results.append(result)
             self._release(result.tx_id)
         time.sleep(0.0001)
-        executor._sleep_jitter(rng, self._max_jitter_us)
+        if self._jitter_seed is not None:
+            rng = random.Random(stable_seed(self._jitter_seed, result.tx_id))
+            executor._sleep_jitter(rng, self._max_jitter_us)
         with self._lock:
             self._overlay.update(result.written_values)

@@ -327,6 +327,19 @@ def test_execute_rejects_a_state_file_that_is_not_json(chain_file, tmp_path, cap
     assert err.startswith("error: state file: invalid JSON")
 
 
+@pytest.mark.parametrize("where", ["block", "stream", "state"])
+def test_a_deeply_nested_document_exits_2(chain_file, tmp_path, capsys, where):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv, message = {
+        "block": (["schedule", str(deep)], "invalid JSON: nested too deeply"),
+        "stream": (["smr", str(deep), "--ledger", str(tmp_path / "ledger")], "line 1: invalid JSON: nested too deeply"),
+        "state": (["execute", chain_file, "--state", str(deep)], "state file: invalid JSON: nested too deeply"),
+    }[where]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_smr_digests_agree_across_runners(tmp_path, capsys):
     stream = tmp_path / "stream.jsonl"
     write_stream_file(stream, gen_commutative_stream(4, n=8, seed=2))
@@ -650,7 +663,7 @@ def test_execute_simulate_checks_the_plan_once(chain_file, capsys, monkeypatch, 
 
     def counting(name, real):
         def check(*args):
-            calls.append(name)
+            calls.append((name, len(args[1].edges)))  # the edges of the graph checked against
             return real(*args)
 
         return check
@@ -661,10 +674,14 @@ def test_execute_simulate_checks_the_plan_once(chain_file, capsys, monkeypatch, 
     code, out, _ = run_cli(capsys, "execute", chain_file, "--runner", runner, "--simulate")
     assert code == 0
     assert "makespan" in out
-    # plan_block checks the runner's plan once; the public simulate_execution
-    # then checks the graph schedule it is handed, once
-    expected = "check_partition" if runner == "batch" else "is_valid_schedule"
-    assert calls == [expected, "is_valid_schedule"]
+    # chain_block(6) has 5 conflicts. plan_block checks the runner's plan
+    # against them once; the batch handle checks only its list's shape, over
+    # an edgeless graph; the public simulate_execution then checks the graph
+    # schedule it is handed, once
+    if runner == "batch":
+        assert calls == [("check_partition", 5), ("check_partition", 0), ("is_valid_schedule", 5)]
+    else:
+        assert calls == [("is_valid_schedule", 5), ("is_valid_schedule", 5)]
 
 
 @pytest.mark.parametrize("runner", ["order", "batch"])

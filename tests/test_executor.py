@@ -90,15 +90,12 @@ def run_handle(handle):
 
 
 def test_batch_handle_skips_empty_batches():
-    # chain_block(4) conflicts on (0, 1), (1, 2) and (2, 3); the handle is
-    # built directly, so nothing checks the batches before it runs them
+    # the engine has no empty-batch skip: a directly built handle refuses an
+    # empty batch with check_partition's text, wherever the batch sits
     block = chain_block(4)
-    handle = BatchExecutionHandle(block, BatchSchedule(((), (0, 2), (), (), (1, 3), ())), EMPTY)
-    out = run_bounded(lambda: run_handle(handle), timeout=20)
-    ref = execute_sequential(block, [0, 2, 1, 3], EMPTY)
-    assert sorted(r.tx_id for r in out.results) == [0, 1, 2, 3]
-    assert out.results_by_id() == ref.results_by_id()
-    assert out.state_changes == ref.state_changes
+    for batches, i in ((((), (0, 2), (1, 3)), 0), (((0, 2), (), (1, 3)), 1), (((0, 2), (1, 3), ()), 2)):
+        with pytest.raises(ValidationError, match=f"^level {i} is empty$"):
+            BatchExecutionHandle(block, BatchSchedule(batches), EMPTY)
 
 
 @pytest.mark.parametrize(
@@ -106,7 +103,8 @@ def test_batch_handle_skips_empty_batches():
     [
         (((0,), (1,)), "partition does not cover all vertices"),
         (((0, 2), (1, 2)), "vertex 2 appears in more than one level"),
-        (((0, 2), (), (1, 3)), "level 2: vertex 3 out of range"),
+        # check_partition reports the empty batch before the out-of-range id
+        (((0, 2), (), (1, 3)), "level 1 is empty"),
     ],
     ids=["missing", "repeated", "out-of-range"],
 )
@@ -130,18 +128,31 @@ def test_batch_handle_counts_its_members(batches, reason, build):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, error",
     [
-        lambda block: GraphExecutionHandle(block, GraphSchedule(0, ()), EMPTY),
-        lambda block: BatchExecutionHandle(block, BatchSchedule(()), EMPTY),
-        lambda block: BatchExecutionHandle(block, BatchSchedule(((),)), EMPTY),
+        (lambda block: GraphExecutionHandle(block, GraphSchedule(0, ()), EMPTY), None),
+        (lambda block: BatchExecutionHandle(block, BatchSchedule(()), EMPTY), None),
+        # an empty batch is malformed even where the block is empty
+        (lambda block: BatchExecutionHandle(block, BatchSchedule(((),)), EMPTY), "level 0 is empty"),
     ],
     ids=["graph", "batch-no-batch", "batch-one-empty-batch"],
 )
-def test_an_empty_block_finishes(build):
+def test_an_empty_block_finishes(build, error):
+    if error is not None:
+        with pytest.raises(ValidationError, match=f"^{error}$"):
+            build(make_block([]))
+        return
     out = run_bounded(lambda: run_handle(build(make_block([]))), timeout=20)
     assert out.results == ()
     assert out.state_changes == {}
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_graph_handle_refuses_a_schedule_of_another_size(n):
+    # a smaller schedule would leave txs 2 and 3 unrun; a larger one names
+    # ids the block does not have
+    with pytest.raises(ValidationError, match=f"^schedule has {n} vertices, block has 4 transactions$"):
+        GraphExecutionHandle(chain_block(4), GraphSchedule(n, [(0, 1)]), EMPTY)
 
 
 @pytest.mark.parametrize("handle", ["graph", "batch"])

@@ -439,6 +439,13 @@ def test_parse_error_text_is_golden(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("opener", ["[", '{"a":'])
+def test_a_deeply_nested_document_is_a_parse_error(opener):
+    # past its depth limit json.loads raises RecursionError, not JSONDecodeError
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+        block_from_text(opener * 100_000)
+
+
 _TYPE_FAULTS = [
     (_doc(tx={"id": "x"}), "tx[1]: id must be an integer"),
     (_doc(tx={"id": 1.0}), "tx[1]: id must be an integer"),

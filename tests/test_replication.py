@@ -470,6 +470,18 @@ def test_ledger_rejects_a_malformed_record_with_an_intact_chain(tmp_path, seq, d
         assert path.read_bytes() == raw
 
 
+def test_ledger_rejects_a_deeply_nested_payload(tmp_path):
+    path = tmp_path / "ledger"
+    Ledger(path).append(make_record(Ledger.GENESIS_DIGEST, 0, "h0", "r0", "s0"))
+    deep = b"[" * 100_000  # printable and whole, so not a torn final record
+    raw = path.read_bytes() + len(deep).to_bytes(4, "big") + deep
+    path.write_bytes(raw)
+    for read in (Ledger(path).load, Ledger(path).recover):
+        with pytest.raises(ParseError, match="^ledger record 1: malformed payload$"):
+            read()
+        assert path.read_bytes() == raw
+
+
 def record_offsets(raw):
     """Start offset of every record in a ledger file."""
     offsets, pos = [], 0

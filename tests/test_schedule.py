@@ -16,7 +16,7 @@ from blocksched.coloring import (
 )
 from blocksched.conflict import ConflictGraph, build_conflict_graph
 from blocksched.errors import InvariantError, ValidationError
-from blocksched.executor import execute_batch_schedule
+from blocksched.executor import BatchExecutionHandle, execute_batch_schedule
 from blocksched.model import GlobalState
 from blocksched.replication import BUILTIN_RUNNERS, BatchPlan, make_runner, plan_block
 from blocksched.schedule import (
@@ -336,6 +336,8 @@ def test_batch_latency_homogeneous_counts_batches():
 # is malformed in one way. The reasons are check_partition's over the block's
 # conflict graph and over the edgeless graph of the list's own size, which
 # is what batch_to_graph checks; over the latter, an uncovered id is out of range.
+# No list holds a conflict, so over the edgeless graph of the block's size,
+# which is what BatchExecutionHandle checks, the reasons are the block's.
 MALFORMED_BATCH_LISTS = {
     "empty": (((0, 2), (), (1,)), "level 1 is empty", "level 1 is empty"),
     "repeated": (
@@ -352,13 +354,19 @@ MALFORMED_BATCH_LISTS = {
 }
 
 
-@pytest.mark.parametrize("path", ["execute_batch_schedule", "plan_block", "batch_to_graph", "level_schedule"])
+@pytest.mark.parametrize(
+    "path", ["execute_batch_schedule", "plan_block", "batch_to_graph", "level_schedule", "BatchExecutionHandle"]
+)
 @pytest.mark.parametrize("case", sorted(MALFORMED_BATCH_LISTS))
 def test_malformed_batch_list_has_one_text(case, path):
     batches, block_reason, own_size_reason = MALFORMED_BATCH_LISTS[case]
     block = chain_block(3)
     g = build_conflict_graph(block)
-    for graph, reason in ((g, block_reason), (ConflictGraph(sum(map(len, batches)), ()), own_size_reason)):
+    for graph, reason in (
+        (g, block_reason),
+        (ConflictGraph(g.n, ()), block_reason),
+        (ConflictGraph(sum(map(len, batches)), ()), own_size_reason),
+    ):
         with pytest.raises(ValidationError, match=f"^{re.escape(reason)}$"):
             check_partition(batches, graph)
     plan = BatchPlan(batches=BatchSchedule(batches), levels=())
@@ -370,6 +378,10 @@ def test_malformed_batch_list_has_one_text(case, path):
         "plan_block": (lambda: plan_block(runner_planning(plan, "batch"), block), block_reason),
         "batch_to_graph": (lambda: batch_to_graph(BatchSchedule(batches)), own_size_reason),
         "level_schedule": (lambda: level_schedule(batches, g), block_reason),
+        "BatchExecutionHandle": (
+            lambda: BatchExecutionHandle(block, BatchSchedule(batches), GlobalState()),
+            block_reason,
+        ),
     }[path]
     with pytest.raises((ValidationError, InvariantError)) as info:
         run()
