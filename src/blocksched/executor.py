@@ -10,7 +10,8 @@ decrements its successors' counts, queueing each that reaches zero. Batch
 execution is the same engine without edges and with one barrier: the next
 batch opens when the current one has no unfinished transaction, and the run
 ends when none is left. A handle checks the shape of what it is given when
-it is built: a graph schedule must have one vertex per transaction, and a
+it is built: the block's ids must be 0..n-1 (``model.validate_block``), a
+graph schedule must have one vertex per transaction, and a
 batch list must pass ``schedule.check_partition`` over an edgeless graph of
 the block's size, so no batch is empty. Validity of the schedule (every
 conflicting pair path-ordered; ``schedule.UNORDERED_CONFLICT`` if not) is
@@ -65,7 +66,7 @@ from typing import Callable, Sequence
 
 from .conflict import ConflictGraph, build_conflict_graph
 from .errors import InvariantError, ValidationError
-from .model import Block, GlobalState, Transaction, TxResult, run_program, stable_seed
+from .model import Block, GlobalState, Transaction, TxResult, run_program, stable_seed, validate_block
 from .schedule import (
     UNORDERED_CONFLICT,
     BatchSchedule,
@@ -186,8 +187,9 @@ class GraphExecutionHandle:
     emission order with the merged state changes. With ``trace=True``,
     :attr:`trace` holds each transaction's ``(tx_id, start_ns, end_ns)`` once
     :meth:`outcome` has returned. A negative ``max_jitter_us`` raises
-    ``ValidationError``; 0 means no jitter. A schedule whose size is not the
-    block's raises ``ValidationError``. The handle does not check the
+    ``ValidationError``; 0 means no jitter. A block whose ids are not
+    0..n-1 raises ``ValidationError`` with ``validate_block``'s text, and so
+    does a schedule whose size is not the block's. The handle does not check the
     schedule's validity: :func:`execute_graph_schedule`,
     :func:`stress_determinism` and ``replication.plan_block`` check it before
     building one.
@@ -205,6 +207,9 @@ class GraphExecutionHandle:
     ) -> None:
         if max_jitter_us < 0:
             raise ValidationError(f"max_jitter_us must be >= 0, got {max_jitter_us}")
+        problems = validate_block(block)
+        if problems:
+            raise ValidationError("; ".join(problems))
         n = len(block.txs)
         if schedule.n != n:
             raise ValidationError(f"schedule has {schedule.n} vertices, block has {n} transactions")
@@ -357,8 +362,9 @@ class BatchExecutionHandle(GraphExecutionHandle):
     Building one checks the batches with ``schedule.check_partition`` over
     an edgeless graph of the block's size, as ``batch_to_graph`` does over
     the list's own: an empty batch or a repeated, out-of-range or missing id
-    raises its ``ValidationError``. Conflicts inside a batch are the
-    caller's check, as for a graph schedule.
+    raises its ``ValidationError``; then the block's ids are checked as for
+    a graph handle. Conflicts inside a batch are the caller's check, as for
+    a graph schedule.
     """
 
     def __init__(self, block: Block, batches: BatchSchedule, state: GlobalState, **options) -> None:

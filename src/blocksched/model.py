@@ -163,8 +163,8 @@ def _key_fault(tx_id) -> str:
     return f"transaction {tx_id}: object keys must be non-empty strings"
 
 
-def _has_bad_key(keys) -> bool:
-    return any(not isinstance(key, str) or not key for key in keys)
+def _has_bad_key(keys: frozenset) -> bool:
+    return "" in keys or not all(map(isinstance, keys, repeat(str)))
 
 
 # The setters of Transaction's slots; they bypass the frozen __setattr__.
@@ -488,9 +488,10 @@ def block_from_obj(obj: Mapping) -> Block:
         if tx_id < 0 or length < 1:
             raise ParseError(f"tx[{i}]: {_id_or_length_fault(tx_id, length)}")
         if not (valid_keys.issuperset(read_set) and valid_keys.issuperset(write_set)):
-            if _has_bad_key(read_set) or _has_bad_key(write_set):
+            keys = read_set | write_set
+            if _has_bad_key(keys):
                 raise ParseError(f"tx[{i}]: {_key_fault(tx_id)}")
-            valid_keys.update(read_set, write_set)
+            valid_keys |= keys
         program = programs.get((kind, const))
         if program is None:
             program = programs[kind, const] = TxProgram(_KINDS[kind], const)

@@ -194,3 +194,29 @@ def test_plan_paths_build_no_successors_canonical_order_or_bitsets(monkeypatch):
         for name in ("greedy", "batch"):
             plan_block(make_runner(name), block_from_text(text))
     assert built == []
+
+
+def test_order_plans_and_their_check_build_no_ancestor_bitsets(monkeypatch):
+    # on an id-ordered block each row of an order plan is its lower prefix,
+    # so every conflicting pair is a direct edge and the check needs no
+    # bitsets; a greedy plan's check still builds them
+    built = []
+    real = GraphSchedule.__dict__["ancestor_bits"].func
+
+    def ancestor_bits(s):
+        built.append(s.n)
+        return real(s)
+
+    monkeypatch.setattr(GraphSchedule, "ancestor_bits", property(ancestor_bits))
+    for universe in (16, 400):
+        text = block_to_text(gen_block(WorkloadSpec(n_txs=400, key_universe=universe, seed=1)))
+        block = block_from_text(text)
+        g = build_conflict_graph(block)
+        order = make_runner("order")
+        assert order.validate_schedule(block.txs, g, order.make_schedule(block.txs, g))
+        plan_block(order, block_from_text(text))
+        assert built == []
+        greedy = make_runner("greedy")
+        assert greedy.validate_schedule(block.txs, g, greedy.make_schedule(block.txs, g))
+        assert built == [400]
+        built.clear()

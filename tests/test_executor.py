@@ -156,6 +156,24 @@ def test_graph_handle_refuses_a_schedule_of_another_size(n):
 
 
 @pytest.mark.parametrize("handle", ["graph", "batch"])
+@pytest.mark.parametrize(
+    "ids, error",
+    [((0, 5), "transaction ids must cover 0..1"), ((1, 1), "duplicate transaction ids")],
+    ids=["gap", "duplicate"],
+)
+def test_handles_refuse_a_block_whose_ids_are_not_0_to_n_minus_1(handle, ids, error):
+    # the engine looks transactions up by id, so such a block would fail in
+    # outcome() with a raw KeyError; it is refused at build with
+    # validate_block's text
+    block = make_block([make_tx(i, writes={"k"}) for i in ids])
+    with pytest.raises(ValidationError, match=f"^{error}$"):
+        if handle == "graph":
+            GraphExecutionHandle(block, GraphSchedule(2, ()), EMPTY)
+        else:
+            BatchExecutionHandle(block, BatchSchedule(((0, 1),)), EMPTY)
+
+
+@pytest.mark.parametrize("handle", ["graph", "batch"])
 def test_second_outcome_is_rejected(handle):
     # a second run would open a batch barrier early: the handle runs once
     block = writer_reader_block()

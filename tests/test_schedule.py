@@ -305,6 +305,116 @@ def test_total_order_rejects_a_size_mismatch():
         total_order_schedule(block.txs[:4], build_conflict_graph(block))
 
 
+def position_map_order(txs, g):
+    """The order plan's rows and order by a position map over the list: each
+    vertex's predecessors are its neighbours listed before it."""
+    position = {tx.id: idx for idx, tx in enumerate(txs)}
+    rows = tuple(tuple(u for u in row if position[u] < position[v]) for v, row in enumerate(g.neighbors))
+    return rows, tuple(position)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 150), universe=st.integers(4, 40), seed=st.integers(0, 2**32))
+def test_total_order_equals_the_position_map_oracle(n, universe, seed):
+    block = gen_block(WorkloadSpec(n_txs=n, key_universe=universe, seed=seed))
+    g = build_conflict_graph(block)
+    shuffled = list(block.txs)
+    random.Random(seed).shuffle(shuffled)
+    for txs in (block.txs, shuffled, block.txs[::-1]):
+        s = total_order_schedule(txs, g)
+        assert (s.preds, s._order) == position_map_order(txs, g)
+
+
+def closure_valid(s, g):
+    """``is_valid_schedule`` by brute force: Warshall's transitive closure of
+    the schedule's edges, then each conflict edge reachable one way."""
+    reach = [[False] * s.n for _ in range(s.n)]
+    for u, v in s.edges:
+        reach[u][v] = True
+    for k in range(s.n):
+        for i in range(s.n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return all(reach[u][v] or reach[v][u] for u, v in g.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 100_000), n=st.integers(0, 12), p=st.sampled_from([0.1, 0.4, 0.8]))
+def test_is_valid_equals_the_transitive_closure_oracle(seed, n, p):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    txs = [make_tx(v) for v in range(n)]
+    shuffled = txs[:]
+    rng.shuffle(shuffled)
+    levels = size_descending_color_order(greedy_coloring(g, descending_degree_order(g)))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arbitrary = GraphSchedule(  # a random DAG drawn without looking at g
+        n, {(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+    )
+    plans = [
+        total_order_schedule(txs, g),
+        total_order_schedule(shuffled, g),
+        level_schedule(levels, g),
+        random_valid_schedule(g, rng),
+        arbitrary,
+    ]
+    if n:  # the id-ordered plan with one vertex's row redrawn among lower ids
+        v = rng.randrange(n)
+        rows = list(plans[0].preds)
+        rows[v] = sorted(rng.sample(range(v), rng.randrange(v + 1)))
+        plans.append(GraphSchedule(n, {(u, w) for w, row in enumerate(rows) for u in row}))
+    # and each with one edge removed
+    plans += [GraphSchedule(n, s.edges - {rng.choice(sorted(s.edges))}) for s in plans if s.edges]
+    for s in plans:
+        assert is_valid_schedule(s, g) == closure_valid(s, g)
+
+
+@pytest.mark.parametrize(
+    "n, conflicts, edges, valid",
+    [
+        # the id-ordered plan of a triangle with a tail, less its edge 0 -> 1:
+        # no other path joins 0 and 1
+        pytest.param(
+            4, {(0, 1), (0, 2), (1, 2), (2, 3)}, {(0, 2), (1, 2), (2, 3)}, False,
+            id="order-plan-one-edge-removed",
+        ),
+        # level_schedule(((0, 2, 4), (1, 3))) on the path 0-1-2-3-4, less its
+        # edge 2 -> 3: a level plan keeps no redundant edge, so no other path
+        # joins 2 and 3
+        pytest.param(
+            5, {(0, 1), (1, 2), (2, 3), (3, 4)}, {(0, 1), (2, 1), (4, 3)}, False,
+            id="level-plan-one-edge-removed",
+        ),
+        # every row is its lower prefix but vertex 3's, which names 0 where
+        # its neighbour 1 belongs: same length, and the pair (1, 3) uncovered
+        pytest.param(
+            4, {(0, 2), (1, 3), (2, 3)}, {(0, 2), (0, 3), (2, 3)}, False,
+            id="rows-equal-lower-prefixes-but-one",
+        ),
+        # the pair (0, 2) is no edge of the schedule; 0 -> 1 -> 2 covers it
+        pytest.param(
+            3, {(0, 1), (0, 2), (1, 2)}, {(0, 1), (1, 2)}, True,
+            id="pair-joined-only-through-a-path",
+        ),
+        # 0 -> 1 <- 2: no directed path joins 0 and 2
+        pytest.param(
+            3, {(0, 1), (0, 2), (1, 2)}, {(0, 1), (2, 1)}, False,
+            id="path-through-a-reversed-edge",
+        ),
+    ],
+)
+def test_is_valid_marked_cases(n, conflicts, edges, valid):
+    g, s = ConflictGraph(n, conflicts), GraphSchedule(n, edges)
+    assert closure_valid(s, g) is valid
+    assert is_valid_schedule(s, g) is valid
+
+
+def test_marked_level_case_is_a_level_plan_less_one_edge():
+    g = ConflictGraph(5, {(0, 1), (1, 2), (2, 3), (3, 4)})
+    assert level_schedule(((0, 2, 4), (1, 3)), g).edges == {(0, 1), (2, 1), (2, 3), (4, 3)}
+
+
 def test_batch_to_graph_rejects_ids_that_skip_a_vertex():
     with pytest.raises(ValidationError, match=r"^level 1: vertex 2 out of range$"):
         batch_to_graph(BatchSchedule(batches=((0,), (2,))))
